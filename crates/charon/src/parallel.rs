@@ -1,17 +1,23 @@
-//! Multi-threaded region solving.
+//! The region driver: Algorithm 1 over a work-stealing worklist.
 //!
-//! The original implementation runs independent abstract-interpretation
-//! calls on as many threads as the host provides (§6). This module
-//! parallelizes Algorithm 1 over a shared region worklist: workers pop
-//! regions, run counterexample search and abstract interpretation, and
-//! push split sub-regions back. The first δ-counterexample found aborts
-//! the whole run.
+//! Every verification run goes through [`run_worklist`]. The sequential
+//! [`crate::Verifier`] is a one-worker run; [`ParallelVerifier`] runs the
+//! same loop on more threads, as the original implementation runs its
+//! abstract-interpretation calls on as many threads as the host provides
+//! (§6). Workers pop regions, run counterexample search and abstract
+//! interpretation, and push split sub-regions back. The first
+//! δ-counterexample found aborts the whole run.
 //!
-//! Fault tolerance matches the sequential verifier: every region step is
-//! panic-isolated with an interval-domain retry, so a single bad region
-//! degrades precision instead of killing a worker thread (or the
-//! process). Budget-limited runs drain the worklist into a
-//! [`Checkpoint`] for [`ParallelVerifier::resume`].
+//! Worker 0 runs on the calling thread with the caller's [`Workspace`];
+//! workers `1..n` are scoped threads, so a one-worker run spawns none.
+//! Each worker pops the left child of its own splits first (the
+//! sequential depth-first order), and a worker seeds its [`Minimizer`]
+//! with `seed + w`, so worker 0 reproduces a sequential run exactly.
+//!
+//! Every region step is panic-isolated with an interval-domain retry, so
+//! a single bad region degrades precision instead of killing a worker
+//! thread (or the process). Budget-limited runs drain the worklist into a
+//! [`Checkpoint`] for [`crate::Verifier::resume`].
 //!
 //! Regions are distributed by the work-stealing scheduler in
 //! [`crate::sched`]: per-worker deques with steal-half balancing, and
@@ -31,29 +37,42 @@ use crate::checkpoint::Checkpoint;
 use crate::error::{BudgetKind, VerifyError};
 use crate::faults::FaultSite;
 use crate::policy::Policy;
-use crate::sched::{Scheduler, SchedulerMode};
+use crate::sched::{Region, Scheduler, SchedulerMode};
 use crate::telemetry::{emit, SharedSink, TraceEvent};
 use crate::verify::{
-    guarded_region_step, validate_problem, verdict_name, CertRecorder, RegionOutcome, StepEnv,
-    Verdict, VerifierConfig, VerifyRun, VerifyStats,
+    guarded_region_step, verdict_name, CertRecorder, RegionOutcome, StepEnv, Verdict, Verifier,
+    VerifierConfig, VerifyRun, VerifyStats,
 };
 use crate::RobustnessProperty;
 
-/// A parallel variant of the [`crate::Verifier`].
+/// A [`Verifier`] whose runs use several worker threads.
 ///
 /// Semantics match the sequential verifier (same soundness and
 /// δ-completeness); only scheduling differs, so which δ-counterexample is
-/// reported may vary between runs.
+/// reported may vary between runs. With one thread it *is* the sequential
+/// verifier: same regions, same order, same checkpoint and certificate.
 #[derive(Clone)]
 pub struct ParallelVerifier {
-    policy: Arc<dyn Policy>,
-    config: VerifierConfig,
-    threads: usize,
-    sched_mode: SchedulerMode,
-    trace: SharedSink,
+    verifier: Verifier,
+    workers: Workers,
 }
 
-/// State shared by every worker of one parallel run.
+/// How many workers drive a run and how they share its regions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Workers {
+    pub threads: usize,
+    pub mode: SchedulerMode,
+}
+
+impl Workers {
+    /// The sequential verifier: one worker on the calling thread.
+    pub(crate) const ONE: Workers = Workers {
+        threads: 1,
+        mode: SchedulerMode::WorkStealing,
+    };
+}
+
+/// State shared by every worker of one run.
 struct Shared<'a> {
     sched: &'a Scheduler,
     regions_done: &'a AtomicUsize,
@@ -71,8 +90,8 @@ struct Shared<'a> {
 /// dropping it would checkpoint a worklist without the refuted region,
 /// and resuming that checkpoint could flip the verdict to `Verified`.
 ///
-/// This single rule is shared by the in-process [`ParallelVerifier`] and
-/// the coordinator tier's cross-node shard merge, so the two scheduling
+/// This single rule is shared by the in-process driver and the
+/// coordinator tier's cross-node shard merge, so the two scheduling
 /// layers cannot drift apart semantically.
 pub fn verdict_supersedes(current: Option<&Verdict>, incoming: &Verdict) -> bool {
     match current {
@@ -118,11 +137,11 @@ impl ParallelVerifier {
             threads
         };
         ParallelVerifier {
-            policy,
-            config,
-            threads,
-            sched_mode: SchedulerMode::default(),
-            trace: crate::telemetry::null_sink(),
+            verifier: Verifier::new(policy, config),
+            workers: Workers {
+                threads,
+                mode: SchedulerMode::default(),
+            },
         }
     }
 
@@ -131,7 +150,7 @@ impl ParallelVerifier {
     /// [`crate::telemetry::NullSink`] (tracing off, zero overhead).
     #[must_use]
     pub fn with_trace(mut self, sink: SharedSink) -> Self {
-        self.trace = sink;
+        self.verifier = self.verifier.with_trace(sink);
         self
     }
 
@@ -140,18 +159,18 @@ impl ParallelVerifier {
     /// `CHARON_FORCE_SCALAR` forces the shared-queue fallback.
     #[must_use]
     pub fn with_scheduler(mut self, mode: SchedulerMode) -> Self {
-        self.sched_mode = mode;
+        self.workers.mode = mode;
         self
     }
 
     /// The scheduling discipline this verifier will use.
     pub fn scheduler_mode(&self) -> SchedulerMode {
-        self.sched_mode
+        self.workers.mode
     }
 
     /// Number of worker threads used.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.threads
     }
 
     /// Verifies a property using all worker threads.
@@ -163,19 +182,7 @@ impl ParallelVerifier {
     /// the engine fails irrecoverably (see
     /// [`ParallelVerifier::try_verify_run`] for the non-panicking API).
     pub fn verify(&self, net: &Network, property: &RobustnessProperty) -> Verdict {
-        assert_eq!(
-            property.region().dim(),
-            net.input_dim(),
-            "region dimension must match network input"
-        );
-        assert!(
-            property.target() < net.output_dim(),
-            "target class out of range"
-        );
-        match self.try_verify_run(net, property) {
-            Ok(run) => run.verdict,
-            Err(e) => panic!("verification engine failure: {e}"),
-        }
+        self.verifier.checked_run(net, property, self.workers).verdict
     }
 
     /// Parallel analogue of [`crate::Verifier::try_verify_run`].
@@ -189,17 +196,8 @@ impl ParallelVerifier {
         net: &Network,
         property: &RobustnessProperty,
     ) -> Result<VerifyRun, VerifyError> {
-        validate_problem(net, property.region(), property.target())?;
-        let cert_root = self
-            .config
-            .certificates
-            .then(|| property.region().clone());
-        self.run_worklist(
-            net,
-            property.target(),
-            vec![(property.region().clone(), 0)],
-            cert_root,
-        )
+        self.verifier
+            .fresh_run(net, property, self.workers, &mut Workspace::new())
     }
 
     /// Continues an interrupted run from a [`Checkpoint`] (see
@@ -209,155 +207,137 @@ impl ParallelVerifier {
     ///
     /// As [`ParallelVerifier::try_verify_run`].
     pub fn resume(&self, net: &Network, checkpoint: &Checkpoint) -> Result<VerifyRun, VerifyError> {
-        if checkpoint.target >= net.output_dim() {
-            return Err(VerifyError::MalformedModel {
-                reason: format!(
-                    "checkpoint target class {} out of range for {} outputs",
-                    checkpoint.target,
-                    net.output_dim()
-                ),
-            });
-        }
-        for (region, _) in &checkpoint.pending {
-            validate_problem(net, region, checkpoint.target)?;
-        }
-        // Resumed runs never certify (the interrupted run's discharged
-        // regions are unaccounted for); see the sequential driver.
-        self.run_worklist(net, checkpoint.target, checkpoint.pending.clone(), None)
-    }
-
-    fn run_worklist(
-        &self,
-        net: &Network,
-        target: usize,
-        initial: Vec<(Bounds, usize)>,
-        cert_root: Option<Bounds>,
-    ) -> Result<VerifyRun, VerifyError> {
-        let start = Instant::now();
-        let deadline = start + self.config.timeout;
-        let sched = Scheduler::new(self.threads, self.sched_mode, initial);
-        let regions_done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let found: Mutex<Option<(Verdict, Option<BudgetKind>)>> = Mutex::new(None);
-        let error: Mutex<Option<VerifyError>> = Mutex::new(None);
-        let total_stats: Mutex<VerifyStats> = Mutex::new(VerifyStats::default());
-        // Per-worker leaf/split records merge here (like the stats) and
-        // are assembled into a certificate once the verdict is known.
-        let recording = cert_root.is_some();
-        let total_records: Mutex<CertRecorder> = Mutex::new(match cert_root {
-            Some(root) => CertRecorder::new(root),
-            None => CertRecorder::default(),
-        });
-        let objective_lipschitz = if self.config.lipschitz_prefilter {
-            2.0 * net.lipschitz_bound()
-        } else {
-            f64::INFINITY
-        };
-
-        let scope_result = crossbeam::scope(|scope| {
-            for worker in 0..self.threads {
-                let shared = Shared {
-                    sched: &sched,
-                    regions_done: &regions_done,
-                    stop: &stop,
-                    found: &found,
-                    error: &error,
-                };
-                let total_stats = &total_stats;
-                let total_records = &total_records;
-                let policy = Arc::clone(&self.policy);
-                let config = self.config.clone();
-                let trace = Arc::clone(&self.trace);
-                scope.spawn(move |_| {
-                    let minimizer = Minimizer::new(config.seed.wrapping_add(worker as u64))
-                        .with_restarts(config.restarts);
-                    let env = StepEnv {
-                        net,
-                        target,
-                        minimizer: &minimizer,
-                        policy: policy.as_ref(),
-                        config: &config,
-                        deadline,
-                        objective_lipschitz,
-                        trace: trace.as_ref(),
-                    };
-                    let mut stats = VerifyStats::default();
-                    let mut records = recording.then(CertRecorder::default);
-                    // Per-worker scratch arena: buffers recycle across the
-                    // regions this worker processes, never across threads.
-                    let mut ws = Workspace::new();
-                    worker_loop(worker, &env, &shared, &mut stats, &mut records, &mut ws);
-                    total_stats.lock().absorb(&stats);
-                    if let Some(records) = records {
-                        total_records.lock().absorb(records);
-                    }
-                });
-            }
-        });
-        if scope_result.is_err() {
-            // Workers are panic-isolated, so this is a bug in the driver
-            // itself; surface it as an engine error, not a process abort.
-            return Err(VerifyError::WorkerPanic {
-                message: "parallel worker panicked outside the isolation boundary".to_string(),
-            });
-        }
-
-        let found = found.into_inner();
-        let (verdict, limit) = match (error.into_inner(), found) {
-            // A validated refutation outranks a late engine error: the
-            // counterexample is real regardless of what broke elsewhere.
-            (Some(_), Some((Verdict::Refuted(cex), _))) => (Verdict::Refuted(cex), None),
-            (Some(e), _) => return Err(e),
-            (None, Some((verdict, limit))) => (verdict, limit),
-            (None, None) => (Verdict::Verified, None),
-        };
-        let mut stats = total_stats.into_inner();
-        stats.elapsed = start.elapsed();
-        // The checkpoint is built from the *merged* worker stats, not the
-        // `regions_done` atomic: a worker that exits on the degradation
-        // ladder (or mid-step on a panic retry) has counted a region in
-        // its local stats that never reached the atomic, so the atomic
-        // can run stale by the time the workers have joined. The merged
-        // counters absorb every worker on every exit path.
-        let checkpoint = if verdict == Verdict::ResourceLimit {
-            Some(Checkpoint {
-                target,
-                pending: sched.into_pending(),
-                regions_done: stats.regions,
-            })
-        } else {
-            None
-        };
-        if let Some(ckpt) = &checkpoint {
-            emit(self.trace.as_ref(), || TraceEvent::CheckpointSaved {
-                pending: ckpt.pending.len(),
-                regions_done: ckpt.regions_done,
-            });
-        }
-        emit(self.trace.as_ref(), || TraceEvent::Verdict {
-            verdict: verdict_name(&verdict).to_string(),
-            regions: stats.regions,
-            seconds: stats.elapsed.as_secs_f64(),
-        });
-        let certificate = if recording {
-            total_records
-                .into_inner()
-                .finish(net, target, self.config.delta, &verdict)
-        } else {
-            None
-        };
-        Ok(VerifyRun {
-            verdict,
-            stats,
-            checkpoint,
-            limit,
-            certificate,
-        })
+        self.verifier
+            .resumed_run(net, checkpoint, self.workers, &mut Workspace::new())
     }
 }
 
-/// One worker: pop (or steal) regions, run the guarded step, push splits
-/// back onto its own deque.
+/// The one worklist driver behind every verifier entry point.
+///
+/// `cert_root` is `Some(root region)` when this is a fresh single-root
+/// run that should emit a proof certificate; resumed runs pass `None`.
+/// Worker 0 runs here on the calling thread with `ws`; workers
+/// `1..threads` get scoped threads and arenas of their own.
+pub(crate) fn run_worklist(
+    verifier: &Verifier,
+    workers: Workers,
+    net: &Network,
+    target: usize,
+    initial: Vec<Region>,
+    cert_root: Option<Bounds>,
+    ws: &mut Workspace,
+) -> Result<VerifyRun, VerifyError> {
+    let config = &verifier.config;
+    let start = Instant::now();
+    let deadline = start + config.timeout;
+    let sched = Scheduler::new(workers.threads, workers.mode, initial);
+    let regions_done = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let found: Mutex<Option<(Verdict, Option<BudgetKind>)>> = Mutex::new(None);
+    let error: Mutex<Option<VerifyError>> = Mutex::new(None);
+    let shared = Shared {
+        sched: &sched,
+        regions_done: &regions_done,
+        stop: &stop,
+        found: &found,
+        error: &error,
+    };
+    let total_stats: Mutex<VerifyStats> = Mutex::new(VerifyStats::default());
+    // Per-worker leaf/split records merge here (like the stats) and are
+    // assembled into a certificate once the verdict is known.
+    let recording = cert_root.is_some();
+    let total_records = Mutex::new(cert_root.map_or_else(CertRecorder::default, CertRecorder::new));
+    // The objective F is a difference of two M-Lipschitz outputs, so it
+    // is 2M-Lipschitz; computed once per run.
+    let objective_lipschitz = if config.lipschitz_prefilter {
+        2.0 * net.lipschitz_bound()
+    } else {
+        f64::INFINITY
+    };
+
+    let run_worker = |worker: usize, ws: &mut Workspace| {
+        let minimizer =
+            Minimizer::new(config.seed.wrapping_add(worker as u64)).with_restarts(config.restarts);
+        let env = StepEnv {
+            net,
+            target,
+            minimizer: &minimizer,
+            policy: verifier.policy.as_ref(),
+            config,
+            deadline,
+            objective_lipschitz,
+            trace: verifier.trace.as_ref(),
+        };
+        let mut stats = VerifyStats::default();
+        let mut records = recording.then(CertRecorder::default);
+        // The arena spans the worker's whole share of the run (and, for
+        // worker 0 of a long-lived caller, many runs): buffers recycle
+        // across regions, never across threads.
+        worker_loop(worker, &env, &shared, &mut stats, &mut records, ws);
+        total_stats.lock().absorb(&stats);
+        if let Some(records) = records {
+            total_records.lock().absorb(records);
+        }
+    };
+    let scope_result = crossbeam::scope(|scope| {
+        for worker in 1..workers.threads {
+            let run_worker = &run_worker;
+            scope.spawn(move |_| run_worker(worker, &mut Workspace::new()));
+        }
+        run_worker(0, ws);
+    });
+    if scope_result.is_err() {
+        // Workers are panic-isolated, so this is a bug in the driver
+        // itself; surface it as an engine error, not a process abort.
+        return Err(VerifyError::WorkerPanic {
+            message: "parallel worker panicked outside the isolation boundary".to_string(),
+        });
+    }
+
+    let (verdict, limit) = match (error.into_inner(), found.into_inner()) {
+        // A validated refutation outranks a late engine error: the
+        // counterexample is real regardless of what broke elsewhere.
+        (Some(_), Some((Verdict::Refuted(cex), _))) => (Verdict::Refuted(cex), None),
+        (Some(e), _) => return Err(e),
+        (None, Some((verdict, limit))) => (verdict, limit),
+        (None, None) => (Verdict::Verified, None),
+    };
+    let mut stats = total_stats.into_inner();
+    stats.elapsed = start.elapsed();
+    // The checkpoint counts regions from the *merged* worker stats, which
+    // absorb every worker on every exit path; `regions_done` also counts
+    // claims that were requeued at the cap.
+    let checkpoint = (verdict == Verdict::ResourceLimit).then(|| Checkpoint {
+        target,
+        pending: sched.into_pending(),
+        regions_done: stats.regions,
+    });
+    let trace = verifier.trace.as_ref();
+    if let Some(ckpt) = &checkpoint {
+        emit(trace, || TraceEvent::CheckpointSaved {
+            pending: ckpt.pending.len(),
+            regions_done: ckpt.regions_done,
+        });
+    }
+    emit(trace, || TraceEvent::Verdict {
+        verdict: verdict_name(&verdict).to_string(),
+        regions: stats.regions,
+        seconds: stats.elapsed.as_secs_f64(),
+    });
+    let certificate = total_records
+        .into_inner()
+        .finish(net, target, config.delta, &verdict);
+    Ok(VerifyRun {
+        verdict,
+        stats,
+        checkpoint,
+        limit,
+        certificate,
+    })
+}
+
+/// One worker: pop (or steal) regions, claim each against the region
+/// cap, run the guarded step, push splits back onto its own deque.
 fn worker_loop(
     worker: usize,
     env: &StepEnv<'_>,
@@ -366,16 +346,16 @@ fn worker_loop(
     records: &mut Option<CertRecorder>,
     ws: &mut Workspace,
 ) {
+    let config = env.config;
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
         let budget = if Instant::now() >= env.deadline {
             Some(BudgetKind::Timeout)
-        } else if shared.regions_done.load(Ordering::Relaxed) >= env.config.max_regions {
+        } else if shared.regions_done.load(Ordering::Relaxed) >= config.max_regions {
             Some(BudgetKind::Regions)
-        } else if env
-            .config
+        } else if config
             .cancel
             .as_ref()
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
@@ -411,13 +391,22 @@ fn worker_loop(
             }
             continue;
         };
-        let ordinal = match &env.config.faults {
+        // One atomic claim per region: the cap is exact across workers,
+        // and unfaulted runs number their regions without duplicates. A
+        // claim past the cap goes back unprocessed, still counted as a
+        // task, so the checkpoint holds it.
+        let claim = shared.regions_done.fetch_add(1, Ordering::Relaxed);
+        if claim >= config.max_regions {
+            shared.sched.requeue(worker, (region, depth));
+            shared.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Regions));
+            return;
+        }
+        let ordinal = match &config.faults {
             Some(plan) => plan.next_region(),
-            None => shared.regions_done.load(Ordering::Relaxed),
+            None => claim,
         };
         emit(env.trace, || TraceEvent::RegionPopped { ordinal, depth });
-        if env
-            .config
+        if config
             .faults
             .as_ref()
             .is_some_and(|plan| plan.fire(FaultSite::Cancel, ordinal))
@@ -426,20 +415,16 @@ fn worker_loop(
                 site: FaultSite::Cancel.as_str().to_string(),
                 ordinal,
             });
-            if let Some(flag) = &env.config.cancel {
+            if let Some(flag) = &config.cancel {
                 flag.store(true, Ordering::Relaxed);
             }
-            // Re-queue without completing: the region stays in the task
-            // count and lands in the checkpoint.
             shared.sched.requeue(worker, (region, depth));
             shared.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Cancelled));
             return;
         }
         stats.regions += 1;
         stats.max_depth = stats.max_depth.max(depth);
-        let outcome = guarded_region_step(env, &region, ordinal, stats, ws);
-        shared.regions_done.fetch_add(1, Ordering::Relaxed);
-        match outcome {
+        match guarded_region_step(env, &region, ordinal, stats, ws) {
             Ok(RegionOutcome::Verified { domain, margin }) => {
                 stats.verified_regions += 1;
                 if let Some(rec) = records {
@@ -463,10 +448,12 @@ fn worker_loop(
                     rec.split(&region, dim, at);
                 }
                 // Children enter the worklist before the parent completes,
-                // so the drained signal never dips mid-split.
+                // so the drained signal never dips mid-split. The left
+                // child goes on top: the owner explores depth-first, left
+                // first, exactly as the sequential verifier always has.
                 shared
                     .sched
-                    .push_split(worker, (left, depth + 1), (right, depth + 1));
+                    .push_split(worker, (right, depth + 1), (left, depth + 1));
                 shared.sched.complete_one();
             }
             Ok(RegionOutcome::Unsplittable) => {

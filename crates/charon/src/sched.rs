@@ -1,6 +1,6 @@
 //! Work-stealing region scheduler.
 //!
-//! Replaces the shared-worklist polling loop of [`crate::parallel`] with
+//! Distributes the regions of the [`crate::parallel`] driver over
 //! per-worker deques: each worker pushes split sub-regions onto its own
 //! deque and pops from the same end (LIFO, so the search stays
 //! depth-first and cache-warm), while an out-of-work worker steals *half*
@@ -166,9 +166,10 @@ impl Scheduler {
         None
     }
 
-    /// Pushes the two children of a split. The task counter grows before
-    /// the regions become visible, so `tasks` never under-counts; the
-    /// caller completes the parent *afterwards* (see
+    /// Pushes the two children of a split. `b` lands on top, so the
+    /// owner pops it next while thieves take `a` first. The task counter
+    /// grows before the regions become visible, so `tasks` never
+    /// under-counts; the caller completes the parent *afterwards* (see
     /// [`Scheduler::complete_one`]).
     pub(crate) fn push_split(&self, worker: usize, a: Region, b: Region) {
         self.tasks.fetch_add(2, SeqCst);

@@ -13,7 +13,6 @@
 //!    [`Verifier::resume`] continues without revisiting verified regions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,6 +26,7 @@ use nn::Network;
 use crate::checkpoint::Checkpoint;
 use crate::error::{panic_message, BudgetKind, VerifyError};
 use crate::faults::{FaultPlan, FaultSite};
+use crate::parallel::{run_worklist, Workers};
 use crate::policy::{DomainSelection, LinearPolicy, Policy, PolicyContext};
 use crate::telemetry::{emit, Metrics, SharedSink, TraceEvent, TraceSink};
 use crate::RobustnessProperty;
@@ -222,9 +222,9 @@ impl VerifyRun {
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Clone)]
 pub struct Verifier {
-    policy: Arc<dyn Policy>,
-    config: VerifierConfig,
-    trace: SharedSink,
+    pub(crate) policy: Arc<dyn Policy>,
+    pub(crate) config: VerifierConfig,
+    pub(crate) trace: SharedSink,
 }
 
 impl std::fmt::Debug for Verifier {
@@ -305,19 +305,8 @@ impl Verifier {
         net: &Network,
         property: &RobustnessProperty,
     ) -> (Verdict, VerifyStats) {
-        assert_eq!(
-            property.region().dim(),
-            net.input_dim(),
-            "region dimension must match network input"
-        );
-        assert!(
-            property.target() < net.output_dim(),
-            "target class out of range"
-        );
-        match self.try_verify_run(net, property) {
-            Ok(run) => (run.verdict, run.stats),
-            Err(e) => panic!("verification engine failure: {e}"),
-        }
+        let run = self.checked_run(net, property, Workers::ONE);
+        (run.verdict, run.stats)
     }
 
     /// Runs Algorithm 1, separating verdicts from engine failures.
@@ -338,8 +327,7 @@ impl Verifier {
         net: &Network,
         property: &RobustnessProperty,
     ) -> Result<VerifyRun, VerifyError> {
-        let mut ws = Workspace::new();
-        self.try_verify_run_ws(net, property, &mut ws)
+        self.fresh_run(net, property, Workers::ONE, &mut Workspace::new())
     }
 
     /// As [`Verifier::try_verify_run`], but propagating through a
@@ -359,18 +347,7 @@ impl Verifier {
         property: &RobustnessProperty,
         ws: &mut Workspace,
     ) -> Result<VerifyRun, VerifyError> {
-        validate_problem(net, property.region(), property.target())?;
-        let cert_root = self
-            .config
-            .certificates
-            .then(|| property.region().clone());
-        self.run_worklist(
-            net,
-            property.target(),
-            vec![(property.region().clone(), 0)],
-            cert_root,
-            ws,
-        )
+        self.fresh_run(net, property, Workers::ONE, ws)
     }
 
     /// Strict variant of [`Verifier::try_verify_run`]: budget exhaustion
@@ -405,8 +382,7 @@ impl Verifier {
     ///
     /// As [`Verifier::try_verify_run`].
     pub fn resume(&self, net: &Network, checkpoint: &Checkpoint) -> Result<VerifyRun, VerifyError> {
-        let mut ws = Workspace::new();
-        self.resume_ws(net, checkpoint, &mut ws)
+        self.resumed_run(net, checkpoint, Workers::ONE, &mut Workspace::new())
     }
 
     /// As [`Verifier::resume`], but propagating through a caller-owned
@@ -419,6 +395,66 @@ impl Verifier {
         &self,
         net: &Network,
         checkpoint: &Checkpoint,
+        ws: &mut Workspace,
+    ) -> Result<VerifyRun, VerifyError> {
+        self.resumed_run(net, checkpoint, Workers::ONE, ws)
+    }
+
+    /// The panicking front of [`Verifier::fresh_run`], behind
+    /// [`Verifier::verify`] and [`crate::parallel::ParallelVerifier::verify`].
+    pub(crate) fn checked_run(
+        &self,
+        net: &Network,
+        property: &RobustnessProperty,
+        workers: Workers,
+    ) -> VerifyRun {
+        assert_eq!(
+            property.region().dim(),
+            net.input_dim(),
+            "region dimension must match network input"
+        );
+        assert!(
+            property.target() < net.output_dim(),
+            "target class out of range"
+        );
+        match self.fresh_run(net, property, workers, &mut Workspace::new()) {
+            Ok(run) => run,
+            Err(e) => panic!("verification engine failure: {e}"),
+        }
+    }
+
+    /// Validates a property and drives a fresh run of it from its root
+    /// region, recording a certificate when configured to.
+    pub(crate) fn fresh_run(
+        &self,
+        net: &Network,
+        property: &RobustnessProperty,
+        workers: Workers,
+        ws: &mut Workspace,
+    ) -> Result<VerifyRun, VerifyError> {
+        validate_problem(net, property.region(), property.target())?;
+        let cert_root = self
+            .config
+            .certificates
+            .then(|| property.region().clone());
+        run_worklist(
+            self,
+            workers,
+            net,
+            property.target(),
+            vec![(property.region().clone(), 0)],
+            cert_root,
+            ws,
+        )
+    }
+
+    /// Validates a checkpoint and drives the run it interrupted over its
+    /// pending regions.
+    pub(crate) fn resumed_run(
+        &self,
+        net: &Network,
+        checkpoint: &Checkpoint,
+        workers: Workers,
         ws: &mut Workspace,
     ) -> Result<VerifyRun, VerifyError> {
         if checkpoint.target >= net.output_dim() {
@@ -435,169 +471,23 @@ impl Verifier {
         }
         // A resumed run cannot account for the regions the interrupted run
         // already discharged, so it never emits a certificate.
-        self.run_worklist(net, checkpoint.target, checkpoint.pending.clone(), None, ws)
-    }
-
-    /// The shared depth-first driver behind every entry point.
-    ///
-    /// `cert_root` is `Some(root region)` when this is a fresh single-root
-    /// run that should emit a proof certificate; resumed runs pass `None`.
-    fn run_worklist(
-        &self,
-        net: &Network,
-        target: usize,
-        mut stack: Vec<(Bounds, usize)>,
-        cert_root: Option<Bounds>,
-        ws: &mut Workspace,
-    ) -> Result<VerifyRun, VerifyError> {
-        let start = Instant::now();
-        let deadline = start + self.config.timeout;
-        let mut stats = VerifyStats::default();
-        let mut recorder = cert_root.map(CertRecorder::new);
-        let minimizer = Minimizer::new(self.config.seed).with_restarts(self.config.restarts);
-        // The objective F is a difference of two M-Lipschitz outputs, so
-        // it is 2M-Lipschitz; computed once per verification run.
-        let objective_lipschitz = if self.config.lipschitz_prefilter {
-            2.0 * net.lipschitz_bound()
-        } else {
-            f64::INFINITY
-        };
-        let env = StepEnv {
+        run_worklist(
+            self,
+            workers,
             net,
-            target,
-            minimizer: &minimizer,
-            policy: self.policy.as_ref(),
-            config: &self.config,
-            deadline,
-            objective_lipschitz,
-            trace: self.trace.as_ref(),
-        };
-        // The caller-provided scratch arena spans the whole run (and, for
-        // long-lived callers, many runs): per-region propagation reuses
-        // layer buffers instead of reallocating them.
-        let outcome = loop {
-            let Some((region, depth)) = stack.pop() else {
-                break Ok((Verdict::Verified, None, None));
-            };
-            let ordinal = match &self.config.faults {
-                Some(plan) => plan.next_region(),
-                None => stats.regions,
-            };
-            emit(env.trace, || TraceEvent::RegionPopped { ordinal, depth });
-            let mut limit = if Instant::now() >= deadline {
-                Some(BudgetKind::Timeout)
-            } else if stats.regions >= self.config.max_regions {
-                Some(BudgetKind::Regions)
-            } else if self
-                .config
-                .cancel
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::Relaxed))
-            {
-                Some(BudgetKind::Cancelled)
-            } else {
-                None
-            };
-            if limit.is_none() {
-                if let Some(plan) = &self.config.faults {
-                    if plan.fire(FaultSite::Cancel, ordinal) {
-                        emit(env.trace, || TraceEvent::FaultTriggered {
-                            site: FaultSite::Cancel.as_str().to_string(),
-                            ordinal,
-                        });
-                        if let Some(flag) = &self.config.cancel {
-                            flag.store(true, Ordering::Relaxed);
-                        }
-                        limit = Some(BudgetKind::Cancelled);
-                    }
-                }
-            }
-            if let Some(kind) = limit {
-                stack.push((region, depth));
-                let ckpt = Checkpoint {
-                    target,
-                    pending: stack.clone(),
-                    regions_done: stats.regions,
-                };
-                emit(env.trace, || TraceEvent::CheckpointSaved {
-                    pending: ckpt.pending.len(),
-                    regions_done: ckpt.regions_done,
-                });
-                break Ok((Verdict::ResourceLimit, Some(kind), Some(ckpt)));
-            }
-            stats.regions += 1;
-            stats.max_depth = stats.max_depth.max(depth);
-
-            match guarded_region_step(&env, &region, ordinal, &mut stats, ws) {
-                Err(e) => break Err(e),
-                Ok(RegionOutcome::Verified { domain, margin }) => {
-                    stats.verified_regions += 1;
-                    if let Some(rec) = &mut recorder {
-                        rec.leaf(&region, domain, margin);
-                    }
-                }
-                Ok(RegionOutcome::Refuted(cex)) => {
-                    break Ok((Verdict::Refuted(cex), None, None));
-                }
-                Ok(RegionOutcome::Split {
-                    left,
-                    right,
-                    dim,
-                    at,
-                }) => {
-                    emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
-                    emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
-                    if let Some(rec) = &mut recorder {
-                        rec.split(&region, dim, at);
-                    }
-                    stack.push((right, depth + 1));
-                    stack.push((left, depth + 1));
-                }
-                Ok(RegionOutcome::Unsplittable) => {
-                    stack.push((region, depth));
-                    let ckpt = Checkpoint {
-                        target,
-                        pending: stack.clone(),
-                        regions_done: stats.regions,
-                    };
-                    emit(env.trace, || TraceEvent::CheckpointSaved {
-                        pending: ckpt.pending.len(),
-                        regions_done: ckpt.regions_done,
-                    });
-                    break Ok((
-                        Verdict::ResourceLimit,
-                        Some(BudgetKind::NumericPrecision),
-                        Some(ckpt),
-                    ));
-                }
-            }
-        };
-
-        let (verdict, limit, checkpoint) = outcome?;
-        stats.elapsed = start.elapsed();
-        emit(self.trace.as_ref(), || TraceEvent::Verdict {
-            verdict: verdict_name(&verdict).to_string(),
-            regions: stats.regions,
-            seconds: stats.elapsed.as_secs_f64(),
-        });
-        let certificate =
-            recorder.and_then(|rec| rec.finish(net, target, self.config.delta, &verdict));
-        Ok(VerifyRun {
-            verdict,
-            stats,
-            checkpoint,
-            limit,
-            certificate,
-        })
+            checkpoint.target,
+            checkpoint.pending.clone(),
+            None,
+            ws,
+        )
     }
 }
 
 /// Collects the flat leaf/split records of one run and assembles them
 /// into a [`Certificate`] once the verdict is known.
 ///
-/// Shared by the sequential driver (one recorder per run) and the
-/// parallel driver (one per worker, merged under the shared lock like
-/// [`VerifyStats`]).
+/// The driver keeps one per worker and merges them under a lock at join,
+/// like [`VerifyStats`].
 #[derive(Debug, Default)]
 pub(crate) struct CertRecorder {
     root: Option<Bounds>,
@@ -721,8 +611,7 @@ pub(crate) fn validate_problem(
     Ok(())
 }
 
-/// Everything a region step needs, shared by the sequential and parallel
-/// drivers.
+/// Everything a region step needs; one per driver worker.
 pub(crate) struct StepEnv<'a> {
     pub net: &'a Network,
     pub target: usize,
@@ -769,9 +658,9 @@ enum StepResult {
 /// a panicking or poisoned full-precision step is retried once on the
 /// coarsest (interval) domain; only a second failure aborts the run.
 ///
-/// `ws` is the caller's scratch arena (one per sequential run / parallel
-/// worker). It only ever holds buffers whose contents are overwritten
-/// before use, so unwinding mid-step cannot leave observable state behind
+/// `ws` is the worker's scratch arena (worker 0 borrows the caller's). It
+/// only ever holds buffers whose contents are overwritten before use, so
+/// unwinding mid-step cannot leave observable state behind
 /// (`AssertUnwindSafe` is justified).
 pub(crate) fn guarded_region_step(
     env: &StepEnv<'_>,

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, full test suite, lint wall, then the chaos
-# (fault-injection) suite under the dedicated `ci` profile.
+# Tier-1 CI gate: build, full test suite, lint wall, then the engine
+# crate's own suites (unit tests, the chaos fault-injection suite, the
+# counting-allocator suite, doctests) under the dedicated `ci` profile.
+# The root `cargo test` covers only the root package, not these.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test -q -p charon --test chaos --profile ci
+cargo test -q -p charon --profile ci
 
 # Portable-fallback gate: the same suite with scalar kernels and the
 # shared-queue scheduler forced, so the non-SIMD dispatch arm and the
