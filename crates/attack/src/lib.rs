@@ -73,7 +73,8 @@ pub struct AttackResult {
     pub point: Vec<f64>,
     /// The objective value `F(x*)`.
     pub objective: f64,
-    /// Number of gradient evaluations performed.
+    /// Number of evaluations performed: one per objective value computed
+    /// and one per gradient a descent step used.
     pub evals: usize,
 }
 
@@ -101,6 +102,10 @@ impl Default for PgdConfig {
 /// Runs projected gradient descent on the robustness objective from a
 /// given starting point, returning the best point visited.
 ///
+/// Each step costs one forward and one backward pass: the
+/// [`Network::objective_and_gradient`] call that scores the new iterate
+/// also supplies the gradient the next step descends along.
+///
 /// Early-exits as soon as the objective becomes non-positive (a true
 /// counterexample has been found).
 ///
@@ -117,7 +122,8 @@ pub fn pgd(
     assert!(region.contains(start), "start point must lie in the region");
     let mut x = start.to_vec();
     let mut best = x.clone();
-    let mut best_f = sanitize_objective(net.objective(&x, target));
+    let (f, mut g) = net.objective_and_gradient(&x, target);
+    let mut best_f = sanitize_objective(f);
     let mut evals = 1;
     let mut step = config.step_fraction * region.mean_width().max(1e-12);
 
@@ -125,7 +131,8 @@ pub fn pgd(
         if best_f <= 0.0 {
             break;
         }
-        let g = net.objective_gradient(&x, target);
+        // `g` is the gradient at `x`, from the evaluation that produced
+        // `x`'s objective; it counts as an evaluation once a step uses it.
         evals += 1;
         if !gradient_is_finite(&g) {
             break;
@@ -139,7 +146,9 @@ pub fn pgd(
             *xi -= step * gi / norm;
         }
         region.clamp(&mut x);
-        let f = sanitize_objective(net.objective(&x, target));
+        let (f, next_g) = net.objective_and_gradient(&x, target);
+        g = next_g;
+        let f = sanitize_objective(f);
         evals += 1;
         if f < best_f {
             best_f = f;
@@ -180,7 +189,8 @@ pub fn pgd_momentum(
     let mut x = start.to_vec();
     let mut velocity = vec![0.0; x.len()];
     let mut best = x.clone();
-    let mut best_f = sanitize_objective(net.objective(&x, target));
+    let (f, mut g) = net.objective_and_gradient(&x, target);
+    let mut best_f = sanitize_objective(f);
     let mut evals = 1;
     let step = config.step_fraction * region.mean_width().max(1e-12);
 
@@ -188,7 +198,7 @@ pub fn pgd_momentum(
         if best_f <= 0.0 {
             break;
         }
-        let g = net.objective_gradient(&x, target);
+        // As in `pgd`: `g` is the gradient at `x`, counted when used.
         evals += 1;
         if !gradient_is_finite(&g) {
             break;
@@ -202,7 +212,9 @@ pub fn pgd_momentum(
             *xi += *vi;
         }
         region.clamp(&mut x);
-        let f = sanitize_objective(net.objective(&x, target));
+        let (f, next_g) = net.objective_and_gradient(&x, target);
+        g = next_g;
+        let f = sanitize_objective(f);
         evals += 1;
         if f < best_f {
             best_f = f;
@@ -288,7 +300,7 @@ pub fn coordinate_descent(
 ///
 /// Each row of `starts` is one restart. Every descent iteration evaluates
 /// the whole batch with one blocked forward/backward pass
-/// ([`Network::objective_gradient_batch`]) instead of one matrix-vector
+/// ([`Network::objective_and_gradient_batch`]) instead of one matrix-vector
 /// product per point per layer, so the per-layer weight matrix is read
 /// once per iteration for all restarts. Rows retire independently (zero or
 /// poisoned gradient, step underflow), and the whole batch stops as soon
@@ -317,49 +329,47 @@ pub fn pgd_batch(
 
     let mut xs = starts.clone();
     let mut best = starts.clone();
-    let mut best_f: Vec<f64> = net
-        .objective_batch(&xs, target)
-        .into_iter()
-        .map(sanitize_objective)
-        .collect();
+    let (fs, mut gs) = net.objective_and_gradient_batch(&xs, target);
+    let mut best_f: Vec<f64> = fs.into_iter().map(sanitize_objective).collect();
     let mut evals = starts.rows();
     let mut step = vec![base_step; starts.rows()];
     let mut active = vec![true; starts.rows()];
+    // Row ids of `gs`: row `i` of `gs` is the gradient at `xs.row(batch[i])`.
+    let mut batch: Vec<usize> = (0..starts.rows()).collect();
 
     'outer: for _ in 0..config.steps {
         if best_f.iter().any(|f| *f <= 0.0) {
             break;
         }
-        // Compact the live rows so retired restarts stop consuming
-        // kernel work, then scatter the results back by row id.
-        let live: Vec<usize> = (0..xs.rows()).filter(|&r| active[r]).collect();
+        // Step the live rows with the gradients of the last evaluation and
+        // compact them, so retired restarts stop consuming kernel work.
+        let mut live = Vec::with_capacity(batch.len());
+        let mut packed = Matrix::zeros(0, n);
+        for (&r, g) in batch.iter().zip(gs.rows_iter()) {
+            if !active[r] {
+                continue;
+            }
+            live.push(r);
+            evals += 1;
+            let x = xs.row_mut(r);
+            let norm = tensor::ops::norm2(g);
+            if !gradient_is_finite(g) || norm < 1e-12 {
+                active[r] = false;
+            } else {
+                for (xi, gi) in x.iter_mut().zip(g.iter()) {
+                    *xi -= step[r] * gi / norm;
+                }
+                region.clamp(x);
+            }
+            packed.push_row(x);
+        }
         if live.is_empty() {
             break;
         }
-        let mut packed = Matrix::zeros(0, n);
-        for &r in &live {
-            packed.push_row(xs.row(r));
-        }
-        let gs = net.objective_gradient_batch(&packed, target);
-        evals += live.len();
-        for ((&r, g), x) in live.iter().zip(gs.rows_iter()).zip(packed.rows_iter_mut()) {
-            if !gradient_is_finite(g) {
-                active[r] = false;
-                continue;
-            }
-            let norm = tensor::ops::norm2(g);
-            if norm < 1e-12 {
-                active[r] = false;
-                continue;
-            }
-            for (xi, gi) in x.iter_mut().zip(g.iter()) {
-                *xi -= step[r] * gi / norm;
-            }
-            region.clamp(x);
-            xs.row_mut(r).copy_from_slice(x);
-        }
-        let fs = net.objective_batch(&packed, target);
-        for (&r, f) in live.iter().zip(fs.iter()) {
+        let (fs, next_gs) = net.objective_and_gradient_batch(&packed, target);
+        gs = next_gs;
+        batch = live;
+        for (&r, f) in batch.iter().zip(fs.iter()) {
             if !active[r] {
                 continue;
             }
@@ -590,6 +600,9 @@ fn merge(a: AttackResult, b: AttackResult) -> AttackResult {
     best.evals = evals;
     best
 }
+
+#[cfg(test)]
+mod two_pass;
 
 #[cfg(test)]
 mod tests {

@@ -289,6 +289,230 @@ fn bench_region_throughput(width: usize, depth: usize, reps: usize) -> Sample {
     }
 }
 
+/// Two-pass projected gradient descent: each step takes the gradient at
+/// the iterate and then scores the stepped point with a separate forward
+/// pass. Same iterates as [`attack::pgd`], which gets both from one pass.
+fn two_pass_pgd(
+    net: &nn::Network,
+    region: &Bounds,
+    target: usize,
+    start: &[f64],
+    config: &attack::PgdConfig,
+) -> attack::AttackResult {
+    let objective = |x: &[f64]| {
+        let f = net.objective(x, target);
+        if f.is_nan() {
+            f64::INFINITY
+        } else {
+            f
+        }
+    };
+    let mut x = start.to_vec();
+    let mut best = x.clone();
+    let mut best_f = objective(&x);
+    let mut evals = 1;
+    let mut step = config.step_fraction * region.mean_width().max(1e-12);
+    for _ in 0..config.steps {
+        if best_f <= 0.0 {
+            break;
+        }
+        let g = net.objective_gradient(&x, target);
+        evals += 1;
+        let norm = tensor::ops::norm2(&g);
+        if !g.iter().all(|v| v.is_finite()) || norm < 1e-12 {
+            break;
+        }
+        for (xi, gi) in x.iter_mut().zip(&g) {
+            *xi -= step * gi / norm;
+        }
+        region.clamp(&mut x);
+        let f = objective(&x);
+        evals += 1;
+        if f < best_f {
+            best_f = f;
+            best = x.clone();
+        } else {
+            step *= config.decay;
+            if step < 1e-12 {
+                break;
+            }
+        }
+    }
+    attack::AttackResult {
+        point: best,
+        objective: best_f,
+        evals,
+    }
+}
+
+/// Two-pass [`attack::pgd_batch`]: the batched gradient of the live rows,
+/// then the batched objective at their stepped points.
+fn two_pass_pgd_batch(
+    net: &nn::Network,
+    region: &Bounds,
+    target: usize,
+    starts: &Matrix,
+    config: &attack::PgdConfig,
+) -> attack::AttackResult {
+    let sanitize = |f: f64| if f.is_nan() { f64::INFINITY } else { f };
+    let rows = starts.rows();
+    let mut xs = starts.clone();
+    let mut best = starts.clone();
+    let mut best_f: Vec<f64> = net
+        .objective_batch(&xs, target)
+        .into_iter()
+        .map(sanitize)
+        .collect();
+    let mut evals = rows;
+    let mut step = vec![config.step_fraction * region.mean_width().max(1e-12); rows];
+    let mut active = vec![true; rows];
+    'outer: for _ in 0..config.steps {
+        if best_f.iter().any(|f| *f <= 0.0) {
+            break;
+        }
+        let live: Vec<usize> = (0..rows).filter(|&r| active[r]).collect();
+        if live.is_empty() {
+            break;
+        }
+        let mut packed = Matrix::zeros(0, starts.cols());
+        for &r in &live {
+            packed.push_row(xs.row(r));
+        }
+        let gs = net.objective_gradient_batch(&packed, target);
+        evals += live.len();
+        for ((&r, g), x) in live.iter().zip(gs.rows_iter()).zip(packed.rows_iter_mut()) {
+            let norm = tensor::ops::norm2(g);
+            if !g.iter().all(|v| v.is_finite()) || norm < 1e-12 {
+                active[r] = false;
+                continue;
+            }
+            for (xi, gi) in x.iter_mut().zip(g) {
+                *xi -= step[r] * gi / norm;
+            }
+            region.clamp(x);
+            xs.row_mut(r).copy_from_slice(x);
+        }
+        let fs = net.objective_batch(&packed, target);
+        for (&r, f) in live.iter().zip(&fs) {
+            if !active[r] {
+                continue;
+            }
+            evals += 1;
+            let f = sanitize(*f);
+            if f < best_f[r] {
+                best_f[r] = f;
+                best.row_mut(r).copy_from_slice(xs.row(r));
+                if f <= 0.0 {
+                    break 'outer;
+                }
+            } else {
+                step[r] *= config.decay;
+                if step[r] < 1e-12 {
+                    active[r] = false;
+                }
+            }
+        }
+    }
+    let winner = (0..rows)
+        .reduce(|a, b| if best_f[b] < best_f[a] { b } else { a })
+        .expect("batch is non-empty");
+    attack::AttackResult {
+        point: best.row(winner).to_vec(),
+        objective: best_f[winner],
+        evals,
+    }
+}
+
+/// [`attack::Minimizer::minimize`] with every descent phase on the
+/// two-pass routines (the phase order and restart sampling are the
+/// minimizer's).
+fn two_pass_minimize(
+    seed: u64,
+    restarts: usize,
+    net: &nn::Network,
+    region: &Bounds,
+    target: usize,
+) -> attack::AttackResult {
+    use rand::SeedableRng;
+    let config = attack::PgdConfig::default();
+    let merge = |a: attack::AttackResult, b: attack::AttackResult| {
+        let evals = a.evals + b.evals;
+        let mut best = if b.objective < a.objective { b } else { a };
+        best.evals = evals;
+        best
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let center = region.center();
+    let mut best = two_pass_pgd(net, region, target, &center, &config);
+    if best.objective <= 0.0 {
+        return best;
+    }
+    let corner = attack::fgsm_step(net, region, target, &center);
+    best = merge(best, two_pass_pgd(net, region, target, &corner, &config));
+    if best.objective <= 0.0 {
+        return best;
+    }
+    best = merge(
+        best,
+        attack::coordinate_descent(net, region, target, &center, 2),
+    );
+    if best.objective <= 0.0 || restarts == 0 {
+        return best;
+    }
+    let mut starts = Matrix::zeros(0, region.dim());
+    for _ in 0..restarts {
+        starts.push_row(&region.sample(&mut rng));
+    }
+    merge(
+        best,
+        two_pass_pgd_batch(net, region, target, &starts, &config),
+    )
+}
+
+/// The whole `Minimize` call of Algorithm 1 on an MNIST-sized network:
+/// the two-pass attack (naive) vs the fused one (fast), which must find
+/// the same point with the same evaluation count.
+fn bench_pgd_attack(reps: usize) -> Sample {
+    use rand::{Rng, SeedableRng};
+    let net = nn::train::random_mlp(784, &[64; 9], 10, 7);
+    // Brightening-style box: pixels at or above τ may brighten to 1,
+    // the rest are frozen.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let image: Vec<f64> = (0..784).map(|_| rng.gen_range(0.0..1.0)).collect();
+    let tau = 0.95;
+    let upper = image
+        .iter()
+        .map(|&v| if v >= tau { 1.0 } else { v })
+        .collect();
+    let region = Bounds::new(image, upper);
+    let target = net.classify(&region.center());
+    let (seed, restarts) = (3, 2);
+    let minimizer = attack::Minimizer::new(seed).with_restarts(restarts);
+
+    let fused = minimizer.minimize(&net, &region, target);
+    let two_pass = two_pass_minimize(seed, restarts, &net, &region, target);
+    assert!(
+        fused.point == two_pass.point
+            && fused.objective.to_bits() == two_pass.objective.to_bits()
+            && fused.evals == two_pass.evals,
+        "fused attack diverged from the two-pass attack"
+    );
+    let naive_s = time_median(reps, || {
+        two_pass_minimize(seed, restarts, &net, &region, target).objective
+    });
+    let fast_s = time_median(reps, || minimizer.minimize(&net, &region, target).objective);
+    Sample {
+        name: "pgd_attack",
+        naive_s,
+        fast_s,
+        note: format!(
+            "two-pass vs fused Minimizer, 784 -> 9x64 -> 10 MLP, brightening tau {tau}, \
+             {restarts} restarts, {} evals, F {:.3}",
+            fused.evals, fused.objective
+        ),
+    }
+}
+
 /// One small end-to-end verification, returning the engine's per-phase
 /// metrics so kernel-level numbers sit next to where the verifier
 /// actually spends its time. Tracing stays off (the default `NullSink`);
@@ -336,6 +560,7 @@ fn validate_json(json: &str) {
         "\"name\": \"zonotope_affine\"",
         "\"name\": \"simd_affine\"",
         "\"name\": \"scheduler_throughput\"",
+        "\"name\": \"pgd_attack\"",
         "\"speedup\":",
         "\"phases\":",
     ] {
@@ -365,6 +590,7 @@ fn main() {
         bench_matvec_bias(neurons, reps),
         bench_region_throughput(if smoke { 24 } else { 96 }, 4, reps),
         bench_scheduler_throughput(reps),
+        bench_pgd_attack(reps),
     ];
 
     println!("kernel perf ({}):", if smoke { "smoke" } else { "full" });

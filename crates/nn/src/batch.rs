@@ -83,21 +83,27 @@ impl Network {
         ys.rows_iter().map(|y| crate::margin(y, target)).collect()
     }
 
-    /// Gradient of the robustness objective for every row of `xs`, as a
-    /// matrix whose row `i` is the gradient at `xs.row(i)`.
+    /// The robustness objective `F` and its gradient for every row of
+    /// `xs`, from one batched forward trace: `F` for row `i` is entry `i`
+    /// of the vector and its gradient is row `i` of the matrix.
     ///
-    /// Semantics per row match [`Network::objective_gradient`]: the seed is
-    /// `+1` at `target` and `-1` at that row's strongest rival class, ReLU
-    /// kinks use the `0` subgradient, and max-pool ties route to the lowest
-    /// winning index.
+    /// `F` is read off the trace's last layer with [`crate::margin`], so
+    /// it equals [`Network::objective_batch`] bit for bit; the gradient is
+    /// backpropagated from the same trace and equals
+    /// [`Network::objective_gradient_batch`] bit for bit. Semantics per row
+    /// match [`Network::objective_gradient`]: the seed is `+1` at `target`
+    /// and `-1` at that row's strongest rival class, ReLU kinks use the `0`
+    /// subgradient, and max-pool ties route to the lowest winning index.
     ///
     /// # Panics
     ///
-    /// Panics if `target >= self.output_dim()`.
-    pub fn objective_gradient_batch(&self, xs: &Matrix, target: usize) -> Matrix {
+    /// Panics if `target >= self.output_dim()` or the network has fewer
+    /// than two outputs.
+    pub fn objective_and_gradient_batch(&self, xs: &Matrix, target: usize) -> (Vec<f64>, Matrix) {
         assert!(target < self.output_dim(), "target class out of range");
         let trace = self.eval_trace_batch(xs);
         let ys = trace.last().expect("trace is non-empty");
+        let fs = ys.rows_iter().map(|y| crate::margin(y, target)).collect();
 
         // Seed batch: one ±1 pair per row. Rival ties keep the last
         // maximum, as the per-point path does.
@@ -151,7 +157,17 @@ impl Network {
                 }
             };
         }
-        g
+        (fs, g)
+    }
+
+    /// Gradient of the robustness objective for every row of `xs`: the
+    /// gradient half of [`Network::objective_and_gradient_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target >= self.output_dim()`.
+    pub fn objective_gradient_batch(&self, xs: &Matrix, target: usize) -> Matrix {
+        self.objective_and_gradient_batch(xs, target).1
     }
 }
 
@@ -218,9 +234,13 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        let gs = net.objective_gradient_batch(&batch_of(&refs), 2);
-        for (x, g) in points.iter().zip(gs.rows_iter()) {
-            let reference = net.objective_gradient(x, 2);
+        let (fs, gs) = net.objective_and_gradient_batch(&batch_of(&refs), 2);
+        for ((x, f), g) in points.iter().zip(&fs).zip(gs.rows_iter()) {
+            let (reference_f, reference) = net.objective_and_gradient(x, 2);
+            assert!(
+                (f - reference_f).abs() <= 1e-12,
+                "batched objective {f} vs {reference_f}"
+            );
             for (a, b) in g.iter().zip(reference.iter()) {
                 assert!(
                     (a - b).abs() <= 1e-12,
@@ -228,6 +248,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fused_batch_equals_separate_batch_calls_bitwise() {
+        let net = crate::train::random_mlp(6, &[10, 7], 4, 5);
+        let xs = Matrix::from_fn(5, 6, |r, c| ((r * 6 + c) as f64 * 0.41).sin());
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for target in 0..4 {
+            let (fs, gs) = net.objective_and_gradient_batch(&xs, target);
+            assert_eq!(bits(&fs), bits(&net.objective_batch(&xs, target)));
+            let separate = net.objective_gradient_batch(&xs, target);
+            assert_eq!(bits(gs.as_slice()), bits(separate.as_slice()));
+        }
+    }
+
+    #[test]
+    fn fused_batch_rows_equal_per_point_on_ties() {
+        // Integer weights keep both paths exact, so rows must equal the
+        // per-point results bit for bit. Classes 1 and 2 always tie for
+        // the rival of class 0, and the pool groups tie on some rows.
+        let net = Network::new(
+            4,
+            vec![
+                Layer::MaxPool(MaxPoolLayer::new(4, vec![vec![0, 1], vec![2, 3]])),
+                Layer::Affine(AffineLayer::new(
+                    Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, 1.0]]),
+                    vec![0.0, 0.0, 0.0],
+                )),
+            ],
+        )
+        .unwrap();
+        let xs = batch_of(&[
+            &[2.0, 2.0, -1.0, -1.0],
+            &[1.0, 5.0, 3.0, 3.0],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[4.0, -2.0, 7.0, 6.0],
+        ]);
+        let (fs, gs) = net.objective_and_gradient_batch(&xs, 0);
+        for ((x, f), g) in xs.rows_iter().zip(&fs).zip(gs.rows_iter()) {
+            let (pf, pg) = net.objective_and_gradient(x, 0);
+            assert_eq!(f.to_bits(), pf.to_bits(), "objective at {x:?}");
+            assert_eq!(g, pg.as_slice(), "gradient at {x:?}");
+        }
+        // The rival is the last tied class; the pool routes to the
+        // lowest tied index.
+        assert_eq!(gs.row(0), &[1.0, 0.0, -1.0, 0.0]);
     }
 
     #[test]

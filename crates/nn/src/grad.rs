@@ -20,8 +20,13 @@ impl Network {
             self.output_dim(),
             "seed dimension must equal output dimension"
         );
-        let trace = self.eval_trace(x);
-        let mut g = seed.to_vec();
+        self.backprop(&self.eval_trace(x), seed.to_vec())
+    }
+
+    /// Backpropagates `seed` through the layers from a forward trace
+    /// produced by [`Network::eval_trace`].
+    fn backprop(&self, trace: &[Vec<f64>], seed: Vec<f64>) -> Vec<f64> {
+        let mut g = seed;
         for (idx, layer) in self.layers().iter().enumerate().rev() {
             let input = &trace[idx];
             g = match layer {
@@ -54,18 +59,24 @@ impl Network {
         g
     }
 
-    /// Gradient of the robustness objective `F` (Eq. 2) at `x` for class
-    /// `target`.
+    /// The robustness objective `F` (Eq. 2) at `x` for class `target`
+    /// together with its gradient, from one forward trace.
     ///
-    /// `F(x) = N(x)_target - N(x)_j*` where `j*` is the strongest other
-    /// class at `x`; the gradient seeds `+1` at `target` and `-1` at `j*`.
+    /// `F` is read off the trace's last layer with [`crate::margin`], so it
+    /// equals [`Network::objective`] bit for bit; the gradient is
+    /// backpropagated from the same trace and equals
+    /// [`Network::objective_gradient`] bit for bit. The gradient seeds
+    /// `+1` at `target` and `-1` at the strongest other class `j*` (the
+    /// last one on ties).
     ///
     /// # Panics
     ///
-    /// Panics if `target >= self.output_dim()`.
-    pub fn objective_gradient(&self, x: &[f64], target: usize) -> Vec<f64> {
-        let y = self.eval(x);
-        assert!(target < y.len(), "target class out of range");
+    /// Panics if `target >= self.output_dim()` or the network has fewer
+    /// than two outputs.
+    pub fn objective_and_gradient(&self, x: &[f64], target: usize) -> (f64, Vec<f64>) {
+        let trace = self.eval_trace(x);
+        let y = trace.last().expect("trace is non-empty");
+        let f = crate::margin(y, target);
         let rival = y
             .iter()
             .enumerate()
@@ -76,7 +87,17 @@ impl Network {
         let mut seed = vec![0.0; y.len()];
         seed[target] = 1.0;
         seed[rival] = -1.0;
-        self.gradient(x, &seed)
+        (f, self.backprop(&trace, seed))
+    }
+
+    /// Gradient of the robustness objective `F` (Eq. 2) at `x` for class
+    /// `target`: the gradient half of [`Network::objective_and_gradient`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target >= self.output_dim()`.
+    pub fn objective_gradient(&self, x: &[f64], target: usize) -> Vec<f64> {
+        self.objective_and_gradient(x, target).1
     }
 }
 
@@ -161,6 +182,93 @@ mod tests {
             let fd = (net.objective(&xp, 0) - net.objective(&xm, 0)) / (2.0 * h);
             assert!((g[i] - fd).abs() < 1e-4, "analytic {} vs fd {fd}", g[i]);
         }
+    }
+
+    /// The objective gradient as separate passes: a forward pass to pick
+    /// the rival class (last maximum on ties), then [`Network::gradient`].
+    fn two_pass_objective_gradient(net: &Network, x: &[f64], target: usize) -> Vec<f64> {
+        let y = net.eval(x);
+        let rival = (0..y.len())
+            .filter(|&j| j != target)
+            .reduce(|a, b| if y[b] >= y[a] { b } else { a })
+            .unwrap();
+        let mut seed = vec![0.0; y.len()];
+        seed[target] = 1.0;
+        seed[rival] = -1.0;
+        net.gradient(x, &seed)
+    }
+
+    fn assert_fused_matches_separate(net: &Network, x: &[f64], target: usize) {
+        let (f, g) = net.objective_and_gradient(x, target);
+        assert_eq!(
+            f.to_bits(),
+            net.objective(x, target).to_bits(),
+            "objective at {x:?}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let reference = two_pass_objective_gradient(net, x, target);
+        assert_eq!(bits(&g), bits(&reference), "gradient at {x:?}");
+        assert_eq!(bits(&net.objective_gradient(x, target)), bits(&g));
+    }
+
+    #[test]
+    fn objective_and_gradient_equals_separate_passes_bitwise() {
+        for seed in 0..5u64 {
+            let net = crate::train::random_mlp(7, &[12, 9], 4, seed);
+            for i in 0..8 {
+                let x: Vec<f64> = (0..7)
+                    .map(|j| ((i * 7 + j) as f64 * 0.37 + seed as f64).sin())
+                    .collect();
+                assert_fused_matches_separate(&net, &x, (i % 4) as usize);
+            }
+        }
+        // Conv + max-pool: 1×5×5 input, two 2×2 filters, 2×2 pooling.
+        let conv = crate::conv::Conv2d::new(
+            crate::conv::Shape3::new(1, 5, 5),
+            2,
+            (2, 2),
+            (1, 1),
+            vec![0.5, -0.25, 0.75, 1.0, -0.5, 0.3, 0.2, -0.8],
+            vec![0.1, -0.05],
+        );
+        let pool = crate::conv::max_pool_groups(conv.output_shape(), 2);
+        let pooled = pool.output_dim();
+        let net = Network::new(
+            25,
+            vec![
+                Layer::Affine(conv.to_affine()),
+                Layer::Relu,
+                Layer::MaxPool(pool),
+                Layer::Affine(AffineLayer::new(
+                    Matrix::from_fn(3, pooled, |r, c| ((r * 5 + c) as f64 * 0.61).cos()),
+                    vec![0.0, 0.1, -0.1],
+                )),
+            ],
+        )
+        .unwrap();
+        for i in 0..6 {
+            let x: Vec<f64> = (0..25)
+                .map(|j| ((i * 25 + j) as f64 * 0.23).sin())
+                .collect();
+            assert_fused_matches_separate(&net, &x, i % 3);
+        }
+    }
+
+    #[test]
+    fn objective_and_gradient_breaks_rival_ties_to_the_last_class() {
+        // y = x exactly: classes 1 and 2 tie for the rival of class 0.
+        let net = Network::new(
+            3,
+            vec![Layer::Affine(AffineLayer::new(
+                Matrix::identity(3),
+                vec![0.0; 3],
+            ))],
+        )
+        .unwrap();
+        let (f, g) = net.objective_and_gradient(&[1.0, 3.0, 3.0], 0);
+        assert_eq!(f, -2.0);
+        assert_eq!(g, vec![1.0, 0.0, -1.0]);
+        assert_fused_matches_separate(&net, &[1.0, 3.0, 3.0], 0);
     }
 
     #[test]

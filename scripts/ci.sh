@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, full test suite, lint wall, then the engine
 # crate's own suites (unit tests, the chaos fault-injection suite, the
-# counting-allocator suite, doctests) under the dedicated `ci` profile.
-# The root `cargo test` covers only the root package, not these.
+# counting-allocator suite, doctests) under the dedicated `ci` profile,
+# the kernel, network and attack crates' suites (unit tests, the kernel
+# equivalence suites, the fused-attack bit-identity suite), and the
+# end-to-end benchmark's own arithmetic tests. The root `cargo test`
+# covers only the root package, not these.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,11 +13,14 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q -p charon --profile ci
+cargo test -q -p tensor -p nn -p attack
+cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
-# Portable-fallback gate: the same suite with scalar kernels and the
+# Portable-fallback gate: the same suites with scalar kernels and the
 # shared-queue scheduler forced, so the non-SIMD dispatch arm and the
 # fallback scheduling discipline stay correct on every host.
 CHARON_FORCE_SCALAR=1 cargo test -q
+CHARON_FORCE_SCALAR=1 cargo test -q -p tensor -p nn -p attack
 
 # Documentation gate: doctests must pass and rustdoc must build clean
 # (broken intra-doc links and missing docs surface as warnings).
@@ -30,6 +36,7 @@ grep -q '"schema": "bench-kernels-v1"' "$smoke_out"
 grep -q '"name": "zonotope_affine"' "$smoke_out"
 grep -q '"name": "simd_affine"' "$smoke_out"
 grep -q '"name": "scheduler_throughput"' "$smoke_out"
+grep -q '"name": "pgd_attack"' "$smoke_out"
 grep -q '"phases":' "$smoke_out"
 rm -f "$smoke_out"
 
