@@ -2,14 +2,14 @@
 //! property's input region into shards and fans them out to a pool of
 //! shard-worker daemons ("nodes") over the v3 wire protocol.
 //!
-//! The coordinator front-end speaks the same protocol as a single-node
-//! daemon — `verify`, `query`, `stats`, `drain`, `ping` — so the CLI
-//! and [`crate::submit_reliable`] work against it unchanged. Behind the
-//! front-end, each submitted property's region is split by
-//! [`charon::policy::shard_region`] into `shards` sub-regions; each
-//! shard travels as a self-contained `shard` request (the property text
-//! is rewritten to the shard's sub-region, so a node is a stateless
-//! executor) and comes back as a `shard_result`.
+//! The coordinator runs the same front-end as a single-node daemon —
+//! admission, `ack` dedup, the journal, `query`, `stats`, `drain` — so
+//! the CLI and [`crate::submit_reliable`] work against it unchanged.
+//! Only the executor behind it differs: each submitted property's
+//! region is split by [`charon::policy::shard_region`] into `shards`
+//! sub-regions; each shard travels as a self-contained `shard` request
+//! (the property text is rewritten to the shard's sub-region, so a node
+//! is a stateless executor) and comes back as a `shard_result`.
 //!
 //! # Merge semantics
 //!
@@ -36,8 +36,9 @@
 //! that is merely *unreachable* (connect refused) costs the shard
 //! nothing: the dispatcher backs off and the shard drifts to another
 //! node. Shard dispatches are journaled (`shard_dispatched` records)
-//! for post-crash audit; a recovered coordinator job is re-sharded from
-//! scratch.
+//! for post-crash audit only: on restart, journal replay makes stored
+//! results queryable again and re-shards every acknowledged but
+//! unanswered job from scratch, delivering its verdict to `query`.
 //!
 //! On top of per-dispatch detection, each node carries a
 //! [`crate::overload::CircuitBreaker`] shared by all of its
@@ -56,29 +57,28 @@
 //! deadline leaves.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use charon::json::ObjectBuilder;
 use charon::parallel::verdict_supersedes;
 use charon::policy::shard_region;
-use charon::telemetry::NodeRow;
+use charon::telemetry::{NodeRow, OverloadStats};
 use charon::{Checkpoint, Counterexample, RobustnessProperty, Verdict};
 
 use crate::client::Client;
 use crate::faults::ServerFaultPlan;
-use crate::journal::{Journal, Record};
+use crate::front::{self, get, inc, ExecStats, Executor, Front, FrontConfig, Reply, ServerHandle};
+use crate::journal::{Record, RecoveredJob, RESULT_RETENTION};
+use crate::net::{ServerAddr, DEFAULT_MAX_LINE_BYTES};
 use crate::overload::{BreakerState, CircuitBreaker};
-use crate::net::{read_line_bounded, Listener, ServerAddr, Stream, DEFAULT_MAX_LINE_BYTES};
 use crate::protocol::{
-    accepted_response, error_response, pending_response, poisoned_response, pong_response,
-    unknown_response, Request, ShardRequest, ShardResult, VerifyRequest, PROTOCOL_VERSION,
+    error_response, poisoned_response, Request, ShardRequest, ShardResult, VerifyRequest,
+    PROTOCOL_VERSION,
 };
-use crate::{send_line, Reply};
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -320,7 +320,7 @@ struct ShardTask {
     kills: u32,
 }
 
-/// Coordinator-side state of one accepted job.
+/// Coordinator-side state of one live job; dropped on delivery.
 struct JobState {
     merge: MergeState,
     reply: Reply,
@@ -332,64 +332,39 @@ struct JobState {
     /// the kill count, delivered as a `poisoned` verdict unless a
     /// refutation wins first.
     poison: Option<(String, u32)>,
-    delivered: bool,
 }
 
+/// Counters only the shard fan-out keeps.
 #[derive(Default)]
 struct ClusterCounters {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    rejected_draining: AtomicU64,
-    errored: AtomicU64,
-    duplicates: AtomicU64,
-    journal_errors: AtomicU64,
     node_failures: AtomicU64,
-    deadline_expired: AtomicU64,
     shards_dispatched: AtomicU64,
     shards_completed: AtomicU64,
-    shards_redispatched: AtomicU64,
-    shards_quarantined: AtomicU64,
 }
 
-struct ClusterShared {
+/// The coordinator's executor: splits each job into shards, queues them
+/// for per-node dispatcher threads, and merges the shard results.
+struct ShardFanout {
+    front: Front,
     nodes: Vec<ServerAddr>,
     shards_per_job: usize,
+    connections_per_node: usize,
+    /// Node-connection deaths one shard may cause before quarantine.
     retry_budget: u32,
     node_grace: Duration,
-    max_line_bytes: usize,
     queue: Mutex<VecDeque<ShardTask>>,
     /// Wakes dispatchers when shard tasks are enqueued (or at shutdown).
-    work: std::sync::Condvar,
+    work: Condvar,
+    /// Live (not yet delivered) jobs.
     jobs: Mutex<HashMap<u64, JobState>>,
-    results: Mutex<HashMap<u64, String>>,
     counters: ClusterCounters,
-    journal: Option<Mutex<Journal>>,
-    draining: AtomicBool,
-    shutdown: AtomicBool,
-    /// Accepted jobs not yet delivered; drain waits for zero.
-    outstanding: Mutex<i64>,
-    idle: std::sync::Condvar,
     node_rows: Mutex<Vec<NodeRow>>,
     /// One circuit breaker per node, keyed by the node's display name
     /// and shared by all of that node's dispatchers.
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
-    faults: Option<Arc<ServerFaultPlan>>,
 }
 
-impl ClusterShared {
-    fn journal_append(&self, record: &Record) -> std::io::Result<()> {
-        match &self.journal {
-            Some(journal) => journal.lock().unwrap().append(record),
-            None => Ok(()),
-        }
-    }
-
-    fn journal_transition(&self, record: &Record) {
-        if self.journal_append(record).is_err() {
-            self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+impl ShardFanout {
     /// Folds a delta row into the per-node telemetry table.
     fn note_node(&self, row: &NodeRow) {
         let mut rows = self.node_rows.lock().unwrap();
@@ -404,32 +379,60 @@ impl ClusterShared {
         }
     }
 
-    /// Delivers a job's terminal response. Caller holds the jobs lock
-    /// and has checked `!job.delivered`.
-    fn deliver(&self, id: u64, job: &mut JobState, response: &str) {
-        job.delivered = true;
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.journal_transition(&Record::Completed {
-            id,
-            response: response.to_string(),
-        });
-        if !crate::is_retryable_response(response) {
-            self.results.lock().unwrap().insert(id, response.to_string());
+    /// Registers a job and queues one dispatch task per shard region.
+    fn start_job(
+        &self,
+        request: &VerifyRequest,
+        (property, regions): (RobustnessProperty, Vec<domains::Bounds>),
+        reply: Reply,
+    ) {
+        let accepted_at = Instant::now();
+        let tasks: Vec<ShardTask> = regions
+            .into_iter()
+            .enumerate()
+            .map(|(index, bounds)| ShardTask {
+                request: request.shard(index, property.with_region(bounds).to_text()),
+                accepted_at,
+                deadline_ms: request.deadline_ms,
+                kills: 0,
+            })
+            .collect();
+        self.jobs.lock().unwrap().insert(
+            request.id,
+            JobState {
+                merge: MergeState::new(tasks.len()),
+                reply,
+                accepted_at,
+                cert_root: request.cert.then(|| property.region().clone()),
+                poison: None,
+            },
+        );
+        self.queue.lock().unwrap().extend(tasks);
+        self.work.notify_all();
+    }
+
+    /// Delivers a job's terminal response and forgets the job: its merge
+    /// state (every shard's checkpoint and certificate text) goes with
+    /// it, and stragglers for the id find nothing to update. Caller
+    /// holds the jobs lock.
+    fn finish(&self, jobs: &mut HashMap<u64, JobState>, id: u64, response: &str) {
+        if let Some(job) = jobs.remove(&id) {
+            inc(&self.front.counters.completed);
+            self.front.deliver(id, &job.reply, response);
         }
-        send_line(&job.reply, response);
-        let mut outstanding = self.outstanding.lock().unwrap();
-        *outstanding -= 1;
-        drop(outstanding);
-        self.idle.notify_all();
     }
 
     /// Delivers the job's verdict if the merge has decided it.
-    fn maybe_deliver(&self, id: u64, job: &mut JobState) {
-        if job.delivered {
-            return;
+    fn settle(&self, jobs: &mut HashMap<u64, JobState>, id: u64) {
+        if let Some(response) = jobs.get(&id).and_then(|job| self.decided(id, job)) {
+            self.finish(jobs, id, &response);
         }
+    }
+
+    /// The job's terminal response, once the merge has decided it.
+    fn decided(&self, id: u64, job: &JobState) -> Option<String> {
         let elapsed_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
-        let base = |verdict: &str, job: &JobState| {
+        let base = |verdict: &str| {
             ObjectBuilder::new()
                 .str("response", "verdict")
                 .int("id", id)
@@ -439,41 +442,31 @@ impl ClusterShared {
                 .int("regions", job.merge.regions() as u64)
                 .num("elapsed_ms", elapsed_ms)
         };
-        let merged_cert = |job: &JobState| {
-            job.cert_root
-                .as_ref()
-                .and_then(|root| job.merge.merged_certificate(root))
+        let with_cert = |b: ObjectBuilder| match job
+            .cert_root
+            .as_ref()
+            .and_then(|root| job.merge.merged_certificate(root))
+        {
+            Some(cert) => b.str("cert", &cert),
+            None => b,
         };
         if let Some(cex) = job.merge.refutation() {
-            let mut b = base("refuted", job)
+            let b = base("refuted")
                 .num("objective", cex.objective)
                 .arr("counterexample", &cex.point);
-            if let Some(cert) = merged_cert(job) {
-                b = b.str("cert", &cert);
-            }
-            let response = b.build();
-            self.deliver(id, job, &response);
-            return;
+            return Some(with_cert(b).build());
         }
         if !job.merge.complete() {
-            return;
+            return None;
         }
         if let Some((diagnostic, attempts)) = &job.poison {
-            self.counters.errored.fetch_add(1, Ordering::Relaxed);
-            let response = poisoned_response(id, diagnostic, *attempts);
-            self.deliver(id, job, &response);
-            return;
+            inc(&self.front.counters.errored);
+            return Some(poisoned_response(id, diagnostic, *attempts));
         }
-        let response = match job.merge.verdict() {
-            Some(Verdict::Verified) => {
-                let mut b = base("verified", job);
-                if let Some(cert) = merged_cert(job) {
-                    b = b.str("cert", &cert);
-                }
-                b.build()
-            }
+        Some(match job.merge.verdict() {
+            Some(Verdict::Verified) => with_cert(base("verified")).build(),
             _ => {
-                let mut b = base("resource_limit", job);
+                let mut b = base("resource_limit");
                 if let Some(kind) = job.merge.limit() {
                     b = b.str("limit", kind);
                 }
@@ -484,40 +477,21 @@ impl ClusterShared {
                 }
                 b.build()
             }
-        };
-        self.deliver(id, job, &response);
+        })
     }
 }
 
 /// The coordinator daemon.
 pub struct Coordinator;
 
-/// Handle to a started coordinator.
-pub struct CoordinatorHandle {
-    addr: ServerAddr,
-    listener: JoinHandle<()>,
-    dispatchers: Vec<JoinHandle<()>>,
-}
-
-impl CoordinatorHandle {
-    /// The address the front-end is listening on.
-    pub fn addr(&self) -> &ServerAddr {
-        &self.addr
-    }
-
-    /// Blocks until the coordinator has drained and shut down.
-    pub fn join(self) {
-        let _ = self.listener.join();
-        for dispatcher in self.dispatchers {
-            let _ = dispatcher.join();
-        }
-    }
-}
+/// Handle to a started coordinator: the same handle a daemon returns.
+pub type CoordinatorHandle = ServerHandle;
 
 impl Coordinator {
-    /// Opens the journal, binds the front-end listener, and starts
-    /// `connections_per_node` dispatcher threads per node; returns
-    /// immediately. Runs until a client sends `drain`.
+    /// Opens the journal (re-sharding every job it recovers), binds the
+    /// front-end listener, and starts `connections_per_node` dispatcher
+    /// threads per node; returns immediately. Runs until a client sends
+    /// `drain`.
     ///
     /// # Errors
     ///
@@ -530,254 +504,169 @@ impl Coordinator {
                 "coordinator needs at least one node (--nodes)",
             ));
         }
-        let journal = match &config.journal {
-            Some(path) => Some(Journal::open(path, config.faults.clone())?.0),
-            None => None,
+        let front = FrontConfig {
+            addr: config.addr.clone(),
+            journal: config.journal.clone(),
+            results_capacity: RESULT_RETENTION,
+            retry_budget: config.retry_budget,
+            max_line_bytes: config.max_line_bytes,
+            read_timeout: None,
+            write_timeout: Some(Duration::from_secs(10)),
+            faults: config.faults.clone(),
         };
-        let listener = Listener::bind(&config.addr)?;
-        let addr = listener.local_addr(&config.addr);
-        let shards_per_job = if config.shards == 0 {
-            config.nodes.len() * 2
-        } else {
-            config.shards
-        };
-        let shared = Arc::new(ClusterShared {
-            nodes: config.nodes.clone(),
-            shards_per_job,
+        let breakers = config
+            .nodes
+            .iter()
+            .map(|node| {
+                let breaker =
+                    CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown);
+                (node.to_string(), breaker)
+            })
+            .collect();
+        front::start(front, |front| ShardFanout {
+            front,
+            shards_per_job: match config.shards {
+                0 => config.nodes.len() * 2,
+                shards => shards,
+            },
+            nodes: config.nodes,
+            connections_per_node: config.connections_per_node.max(1),
             retry_budget: config.retry_budget.max(1),
             node_grace: config.node_grace,
-            max_line_bytes: config.max_line_bytes,
             queue: Mutex::new(VecDeque::new()),
+            work: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
-            results: Mutex::new(HashMap::new()),
             counters: ClusterCounters::default(),
-            journal: journal.map(Mutex::new),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            outstanding: Mutex::new(0),
-            work: std::sync::Condvar::new(),
-            idle: std::sync::Condvar::new(),
             node_rows: Mutex::new(Vec::new()),
-            breakers: Mutex::new(
-                config
-                    .nodes
-                    .iter()
-                    .map(|node| {
-                        (
-                            node.to_string(),
-                            CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
-                        )
-                    })
-                    .collect(),
-            ),
-            faults: config.faults.clone(),
-        });
-
-        let mut dispatchers = Vec::new();
-        for node in &config.nodes {
-            for _ in 0..config.connections_per_node.max(1) {
-                let shared = Arc::clone(&shared);
-                let node = node.clone();
-                dispatchers.push(std::thread::spawn(move || dispatcher_loop(&shared, &node)));
-            }
-        }
-
-        let listen_shared = Arc::clone(&shared);
-        let listen_addr = addr.clone();
-        let listener_thread = std::thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                        let shared = Arc::clone(&listen_shared);
-                        let addr = listen_addr.clone();
-                        std::thread::spawn(move || connection_loop(&shared, stream, &addr));
-                    }
-                    Err(_) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if let ServerAddr::Unix(path) = &listen_addr {
-                let _ = std::fs::remove_file(path);
-            }
-        });
-
-        Ok(CoordinatorHandle {
-            addr,
-            listener: listener_thread,
-            dispatchers,
+            breakers: Mutex::new(breakers),
         })
     }
 }
 
-fn connection_loop(shared: &Arc<ClusterShared>, stream: Stream, addr: &ServerAddr) {
-    let sock: Arc<Mutex<Stream>> = match stream.try_clone() {
-        Ok(writer) => Arc::new(Mutex::new(writer)),
-        Err(_) => return,
-    };
-    let reply = Reply::Socket(Arc::clone(&sock));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match read_line_bounded(&mut reader, &mut line, shared.max_line_bytes) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                send_line(&reply, &error_response(None, "bad_request", &e.to_string()));
-                return;
-            }
-            Err(_) => return,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match Request::parse(trimmed) {
-            Err(e) => send_line(&reply, &error_response(None, "bad_request", &e)),
-            Ok(Request::Ping) => send_line(&reply, &pong_response()),
-            Ok(Request::Stats) => send_line(&reply, &cluster_stats_response(shared)),
-            Ok(Request::Query { id }) => {
-                let stored = shared.results.lock().unwrap().get(&id).cloned();
-                let response = match stored {
-                    Some(line) => line,
-                    None if shared.jobs.lock().unwrap().contains_key(&id) => pending_response(id),
-                    None => unknown_response(id),
-                };
-                send_line(&reply, &response);
-            }
-            Ok(Request::Verify(request)) => submit_cluster(shared, request, &sock),
-            Ok(Request::Shard(_) | Request::NodeHello | Request::NodeStats) => {
-                send_line(
-                    &reply,
-                    &error_response(
-                        None,
-                        "bad_request",
-                        "this is a coordinator, not a shard node",
-                    ),
-                );
-            }
-            Ok(Request::Drain) => {
-                let summary = drain_cluster(shared);
-                send_line(&reply, &summary);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.work.notify_all();
-                let _ = Stream::connect(addr);
-                return;
-            }
-        }
-    }
-}
+impl Executor for ShardFanout {
+    const TIER: &'static str = "coordinator";
+    /// The parsed property and its shard regions.
+    type Admitted = (RobustnessProperty, Vec<domains::Bounds>);
+    type Scratch = ();
 
-/// Admission on the coordinator: reject while draining, deduplicate
-/// `ack` ids, shard the region, journal, enqueue every shard.
-fn submit_cluster(shared: &Arc<ClusterShared>, request: VerifyRequest, sock: &Arc<Mutex<Stream>>) {
-    let id = request.id;
-    let reply = Reply::Socket(Arc::clone(sock));
-    if shared.draining.load(Ordering::SeqCst) {
-        shared
-            .counters
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "draining", "coordinator is draining; resubmit later"),
-        );
-        return;
+    fn front(&self) -> &Front {
+        &self.front
     }
-    if request.ack {
-        let live = {
-            let jobs = shared.jobs.lock().unwrap();
-            jobs.get(&id).is_some_and(|job| !job.delivered)
-        };
-        if live {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, &accepted_response(id, true));
-            return;
+
+    fn spawn(fanout: &Arc<Self>) -> Vec<JoinHandle<()>> {
+        let mut dispatchers = Vec::new();
+        for node in &fanout.nodes {
+            for _ in 0..fanout.connections_per_node {
+                let fanout = Arc::clone(fanout);
+                let node = node.clone();
+                dispatchers.push(std::thread::spawn(move || dispatcher_loop(&fanout, &node)));
+            }
         }
-        if let Some(stored) = shared.results.lock().unwrap().get(&id) {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, stored);
-            return;
+        dispatchers
+    }
+
+    /// Shards the region before accepting anything: a property that does
+    /// not parse is the submitter's problem, not an accepted job.
+    fn admit(&self, request: &VerifyRequest) -> Result<Self::Admitted, String> {
+        match RobustnessProperty::from_text(&request.property) {
+            Ok(property) => {
+                let regions = shard_region(property.region(), self.shards_per_job);
+                Ok((property, regions))
+            }
+            Err(message) => {
+                inc(&self.front.counters.errored);
+                Err(error_response(
+                    Some(request.id),
+                    "bad_request",
+                    &format!("property: {message}"),
+                ))
+            }
         }
     }
-    // Shard the region before accepting anything: a property that does
-    // not parse is the submitter's problem, not an accepted job.
-    let property = match RobustnessProperty::from_text(&request.property) {
-        Ok(property) => property,
-        Err(message) => {
-            shared.counters.errored.fetch_add(1, Ordering::Relaxed);
-            send_line(
-                &reply,
-                &error_response(Some(id), "bad_request", &format!("property: {message}")),
-            );
-            return;
-        }
-    };
-    let regions = shard_region(property.region(), shared.shards_per_job);
-    if let Err(e) = shared.journal_append(&Record::Accepted {
-        id,
-        request: request.clone(),
-    }) {
-        shared.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "journal_error", &format!("journal append: {e}")),
-        );
-        return;
+
+    fn enqueue(
+        &self,
+        request: VerifyRequest,
+        admitted: Self::Admitted,
+        reply: Reply,
+    ) -> Result<(), String> {
+        self.start_job(&request, admitted, reply);
+        Ok(())
     }
-    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    *shared.outstanding.lock().unwrap() += 1;
-    let accepted_at = Instant::now();
-    let mut tasks = Vec::with_capacity(regions.len());
-    for (index, bounds) in regions.into_iter().enumerate() {
-        tasks.push(ShardTask {
-            request: ShardRequest {
-                id,
-                shard: index,
-                network: request.network.clone(),
-                property: property.with_region(bounds).to_text(),
-                timeout_ms: request.timeout_ms,
-                // Stamped with the *remaining* deadline at dispatch.
-                deadline_ms: None,
-                delta: request.delta,
-                max_regions: request.max_regions,
-                restarts: request.restarts,
-                // Perturb the seed per shard so shards do not run
-                // identical attack schedules on adjacent regions.
-                seed: request
-                    .seed
-                    .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9)),
-                cex_search: request.cex_search,
-                cert: request.cert,
+
+    /// Re-shards a recovered job from scratch: shard assignments are not
+    /// journaled state, so every shard runs again.
+    fn recover(&self, job: RecoveredJob) {
+        match self.admit(&job.request) {
+            Ok(admitted) => self.start_job(&job.request, admitted, Reply::Recovered),
+            Err(response) => {
+                inc(&self.front.counters.completed);
+                self.front
+                    .deliver(job.request.id, &Reply::Recovered, &response);
+            }
+        }
+    }
+
+    fn node_request(&self, _: Request, (): &mut ()) -> String {
+        error_response(
+            None,
+            "bad_request",
+            "this is a coordinator, not a shard node",
+        )
+    }
+
+    /// Nothing: the coordinator has no partial-work story of its own.
+    /// Shards in flight complete on their nodes, so a drain that returns
+    /// `lost=0` proves no accepted job went unanswered.
+    fn cancel(&self) {}
+
+    fn shutdown(&self) {
+        self.work.notify_all();
+    }
+
+    fn stats(&self) -> ExecStats {
+        let breakers = self.breakers.lock().unwrap();
+        ExecStats {
+            workers: self.nodes.len(),
+            queue_depth: self.queue.lock().unwrap().len(),
+            // The coordinator queue is unbounded and never sheds;
+            // admission pressure is absorbed by the nodes' own shed
+            // controllers.
+            overload: OverloadStats {
+                breaker_open: breakers
+                    .values()
+                    .filter(|breaker| breaker.is_routing_around())
+                    .count() as u64,
+                breaker_opens: breakers.values().map(CircuitBreaker::opens).sum(),
+                ..OverloadStats::default()
             },
-            accepted_at,
-            deadline_ms: request.deadline_ms,
-            kills: 0,
-        });
+            worker_deaths: get(&self.counters.node_failures),
+            ..ExecStats::default()
+        }
     }
-    shared.jobs.lock().unwrap().insert(
-        id,
-        JobState {
-            merge: MergeState::new(tasks.len()),
-            reply: Reply::Socket(Arc::clone(sock)),
-            accepted_at,
-            cert_root: request.cert.then(|| property.region().clone()),
-            poison: None,
-            delivered: false,
-        },
-    );
-    if request.ack {
-        send_line(&reply, &accepted_response(id, false));
+
+    /// The cluster extras, then the per-node table as parallel arrays.
+    fn stats_tail(&self, b: ObjectBuilder, _: &ExecStats) -> ObjectBuilder {
+        let counters = &self.counters;
+        let b = b
+            .int("nodes", self.nodes.len() as u64)
+            .int("shards_dispatched", get(&counters.shards_dispatched))
+            .int("shards_completed", get(&counters.shards_completed))
+            .int("shards_redispatched", get(&self.front.counters.requeued))
+            .int("shards_quarantined", get(&self.front.counters.quarantined))
+            .int("node_failures", get(&counters.node_failures));
+        let rows = self.node_rows.lock().unwrap();
+        if rows.is_empty() {
+            return b;
+        }
+        let column = |f: fn(&NodeRow) -> f64| rows.iter().map(f).collect::<Vec<_>>();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        b.str("node_names", &names.join(","))
+            .arr("node_dispatched", &column(|r| r.dispatched as f64))
+            .arr("node_completed", &column(|r| r.completed as f64))
+            .arr("node_redispatched", &column(|r| r.redispatched as f64))
+            .arr("node_idle_seconds", &column(|r| r.idle_seconds))
     }
-    shared.queue.lock().unwrap().extend(tasks);
-    shared.work.notify_all();
 }
 
 /// Connects (or reuses) this dispatcher's node connection, performing
@@ -811,11 +700,11 @@ fn ensure_client<'a>(
 /// One dispatcher: owns one connection to one node, pulls shard tasks,
 /// dispatches them, and feeds results (or failures) back into the
 /// merge. Idle dispatchers heartbeat their node with `ping`.
-fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
+fn dispatcher_loop(shared: &ShardFanout, node: &ServerAddr) {
     let node_name = node.to_string();
     let mut client: Option<Client> = None;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.shutdown.load(Ordering::SeqCst) {
             return;
         }
         // Route around an open breaker: this node's dispatchers take no
@@ -831,7 +720,7 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
         let task = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.front.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if let Some(task) = queue.pop_front() {
@@ -859,7 +748,7 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
                     .is_some_and(|kind| kind == "pong");
                 if !alive {
                     client = None;
-                    shared.counters.node_failures.fetch_add(1, Ordering::Relaxed);
+                    inc(&shared.counters.node_failures);
                     // A dead heartbeat counts toward the breaker, so a
                     // node that dies while idle trips it before any
                     // shard is wasted probing it. (A *successful* ping
@@ -890,7 +779,7 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
 /// Dispatches one shard task on this dispatcher's connection and
 /// routes the outcome (result, node death, or unreachable node).
 fn dispatch_one(
-    shared: &Arc<ClusterShared>,
+    shared: &ShardFanout,
     node: &ServerAddr,
     node_name: &str,
     client: &mut Option<Client>,
@@ -898,14 +787,8 @@ fn dispatch_one(
 ) {
     // A job already delivered (a refutation won, or an error ended it)
     // cancels its still-queued shards.
-    {
-        let jobs = shared.jobs.lock().unwrap();
-        let live = jobs
-            .get(&task.request.id)
-            .is_some_and(|job| !job.delivered);
-        if !live {
-            return;
-        }
+    if !shared.jobs.lock().unwrap().contains_key(&task.request.id) {
+        return;
     }
     // Deadline propagation: stamp the client's *remaining* deadline on
     // the shard at dispatch time, so the node can clamp its budget to
@@ -926,7 +809,7 @@ fn dispatch_one(
     let connection = match ensure_client(client, node, shared.node_grace) {
         Ok(connection) => connection,
         Err(_) => {
-            shared.counters.node_failures.fetch_add(1, Ordering::Relaxed);
+            inc(&shared.counters.node_failures);
             breaker_note(shared, node_name, false);
             shared.queue.lock().unwrap().push_back(task);
             shared.work.notify_one();
@@ -935,15 +818,9 @@ fn dispatch_one(
         }
     };
 
-    shared
-        .counters
-        .shards_dispatched
-        .fetch_add(1, Ordering::Relaxed);
+    inc(&shared.counters.shards_dispatched);
     if task.kills > 0 {
-        shared
-            .counters
-            .shards_redispatched
-            .fetch_add(1, Ordering::Relaxed);
+        inc(&shared.front.counters.requeued);
     }
     shared.note_node(&NodeRow {
         name: node_name.to_string(),
@@ -951,7 +828,7 @@ fn dispatch_one(
         redispatched: u64::from(task.kills > 0),
         ..NodeRow::default()
     });
-    shared.journal_transition(&Record::ShardDispatched {
+    shared.front.journal_transition(&Record::ShardDispatched {
         id: task.request.id,
         shard: task.request.shard,
         node: node_name.to_string(),
@@ -959,7 +836,7 @@ fn dispatch_one(
 
     // Injected node kill: sever the connection at this dispatch, as if
     // the node died with the shard in flight.
-    if let Some(plan) = &shared.faults {
+    if let Some(plan) = &shared.front.faults {
         if plan.node_kill.check() {
             *client = None;
             breaker_note(shared, node_name, false);
@@ -993,7 +870,7 @@ fn dispatch_one(
 
     // Injected result drop: the shard completed but its result is lost.
     // The node *answered*, so its breaker records a success.
-    if let Some(plan) = &shared.faults {
+    if let Some(plan) = &shared.front.faults {
         if plan.shard_drop.check() {
             breaker_note(shared, node_name, true);
             shard_failed(shared, task, node_name, "injected shard result drop");
@@ -1002,21 +879,17 @@ fn dispatch_one(
     }
 
     match fields.str_field("response").as_deref() {
-        Ok("shard_result") => {
-            // Reconstruct the wire line the fields were parsed from; the
-            // typed struct is the unit MergeState accepts.
-            match rebuild_shard_result(&fields) {
-                Ok(result) => {
-                    breaker_note(shared, node_name, true);
-                    record_result(shared, node_name, &result);
-                }
-                Err(_) => {
-                    *client = None;
-                    breaker_note(shared, node_name, false);
-                    shard_failed(shared, task, node_name, "malformed shard_result from node");
-                }
+        Ok("shard_result") => match ShardResult::from_fields(&fields) {
+            Ok(result) => {
+                breaker_note(shared, node_name, true);
+                record_result(shared, node_name, &result);
             }
-        }
+            Err(_) => {
+                *client = None;
+                breaker_note(shared, node_name, false);
+                shard_failed(shared, task, node_name, "malformed shard_result from node");
+            }
+        },
         Ok("error") => {
             // The node answered in protocol: healthy as far as the
             // breaker is concerned, even though the job ends in error.
@@ -1031,25 +904,25 @@ fn dispatch_one(
                 .ok()
                 .flatten()
                 .unwrap_or_else(|| "node reported an error".to_string());
-            shared.counters.errored.fetch_add(1, Ordering::Relaxed);
-            let mut jobs = shared.jobs.lock().unwrap();
-            if let Some(job) = jobs.get_mut(&task.request.id) {
-                if !job.delivered {
-                    let response = error_response(Some(task.request.id), &code, &message);
-                    shared.deliver(task.request.id, job, &response);
-                }
-            }
+            inc(&shared.front.counters.errored);
+            let response = error_response(Some(task.request.id), &code, &message);
+            shared.finish(&mut shared.jobs.lock().unwrap(), task.request.id, &response);
         }
         _ => {
             *client = None;
             breaker_note(shared, node_name, false);
-            shard_failed(shared, task, node_name, "unexpected response kind from node");
+            shard_failed(
+                shared,
+                task,
+                node_name,
+                "unexpected response kind from node",
+            );
         }
     }
 }
 
 /// Records one dispatch outcome against a node's circuit breaker.
-fn breaker_note(shared: &ClusterShared, node_name: &str, ok: bool) {
+fn breaker_note(shared: &ShardFanout, node_name: &str, ok: bool) {
     let mut breakers = shared.breakers.lock().unwrap();
     if let Some(breaker) = breakers.get_mut(node_name) {
         if ok {
@@ -1066,7 +939,7 @@ fn breaker_note(shared: &ClusterShared, node_name: &str, ok: bool) {
 /// `node_hello` handshake) and reports its outcome; everyone else backs
 /// off without touching the queue.
 fn breaker_admits(
-    shared: &Arc<ClusterShared>,
+    shared: &ShardFanout,
     node: &ServerAddr,
     node_name: &str,
     client: &mut Option<Client>,
@@ -1096,84 +969,52 @@ fn breaker_admits(
 
 /// Answers a job whose client deadline was spent before its shards
 /// could even be dispatched.
-fn expire_job(shared: &Arc<ClusterShared>, id: u64) {
+fn expire_job(shared: &ShardFanout, id: u64) {
     let mut jobs = shared.jobs.lock().unwrap();
-    let Some(job) = jobs.get_mut(&id) else {
-        return;
-    };
-    if job.delivered {
+    if !jobs.contains_key(&id) {
         return;
     }
-    shared
-        .counters
-        .deadline_expired
-        .fetch_add(1, Ordering::Relaxed);
+    inc(&shared.front.counters.deadline_expired);
     let response = error_response(
         Some(id),
         "deadline_expired",
         "job spent its deadline before its shards could be dispatched",
     );
-    shared.deliver(id, job, &response);
-}
-
-/// Re-types a parsed `shard_result` response.
-fn rebuild_shard_result(fields: &charon::json::Fields) -> Result<ShardResult, String> {
-    Ok(ShardResult {
-        id: fields.usize_field("id")? as u64,
-        shard: fields.usize_field("shard")?,
-        verdict: fields.str_field("verdict")?,
-        regions: fields.opt_usize("regions")?.unwrap_or(0),
-        seconds: fields.opt_f64("seconds")?.unwrap_or(0.0),
-        objective: fields.opt_f64("objective")?,
-        counterexample: match fields.opt("counterexample") {
-            Some(_) => Some(fields.arr_field("counterexample")?),
-            None => None,
-        },
-        limit: fields.opt_str("limit")?,
-        checkpoint: fields.opt_str("checkpoint")?,
-        cert: fields.opt_str("cert")?,
-    })
+    shared.finish(&mut jobs, id, &response);
 }
 
 /// Feeds one received shard result into its job's merge and delivers
 /// the job verdict if it is now decided.
-fn record_result(shared: &Arc<ClusterShared>, node_name: &str, result: &ShardResult) {
-    shared
-        .counters
-        .shards_completed
-        .fetch_add(1, Ordering::Relaxed);
+fn record_result(shared: &ShardFanout, node_name: &str, result: &ShardResult) {
+    inc(&shared.counters.shards_completed);
     shared.note_node(&NodeRow {
         name: node_name.to_string(),
         completed: 1,
         ..NodeRow::default()
     });
     let mut jobs = shared.jobs.lock().unwrap();
+    // A straggler for a job already delivered (or never known here)
+    // finds nothing to update.
     let Some(job) = jobs.get_mut(&result.id) else {
-        return; // Straggler for a job this process never knew.
+        return;
     };
-    if job.delivered {
-        return; // Straggler after a refutation already won.
-    }
     if job.merge.record(result).is_err() {
         return; // Out-of-protocol result; the retry path will cover it.
     }
-    shared.maybe_deliver(result.id, job);
+    shared.settle(&mut jobs, result.id);
 }
 
 /// Handles a shard whose dispatch failed after it was counted: requeue
 /// within the retry budget, quarantine (and poison the job) beyond it.
-fn shard_failed(shared: &Arc<ClusterShared>, mut task: ShardTask, node_name: &str, why: &str) {
-    shared.counters.node_failures.fetch_add(1, Ordering::Relaxed);
+fn shard_failed(shared: &ShardFanout, mut task: ShardTask, node_name: &str, why: &str) {
+    inc(&shared.counters.node_failures);
     task.kills += 1;
     if task.kills < shared.retry_budget {
         shared.queue.lock().unwrap().push_back(task);
         shared.work.notify_one();
         return;
     }
-    shared
-        .counters
-        .shards_quarantined
-        .fetch_add(1, Ordering::Relaxed);
+    inc(&shared.front.counters.quarantined);
     let diagnostic = format!(
         "shard {} of job {} killed {} node connection(s) (last on {node_name}): {why}; quarantined",
         task.request.shard, task.request.id, task.kills
@@ -1182,9 +1023,6 @@ fn shard_failed(shared: &Arc<ClusterShared>, mut task: ShardTask, node_name: &st
     let Some(job) = jobs.get_mut(&task.request.id) else {
         return;
     };
-    if job.delivered {
-        return;
-    }
     job.poison = Some((diagnostic, task.kills));
     // Resolve the shard so the job can settle; the poison marker wins
     // over the synthetic resource limit at delivery time.
@@ -1201,174 +1039,7 @@ fn shard_failed(shared: &Arc<ClusterShared>, mut task: ShardTask, node_name: &st
         cert: None,
     };
     let _ = job.merge.record(&synthetic);
-    shared.maybe_deliver(task.request.id, job);
-}
-
-/// Stops admission and waits for every accepted job to deliver, then
-/// reports the accounting. The coordinator has no partial-work story of
-/// its own — shards in flight complete on their nodes — so a drain that
-/// returns `lost=0` proves no accepted job went unanswered.
-fn drain_cluster(shared: &Arc<ClusterShared>) -> String {
-    shared.draining.store(true, Ordering::SeqCst);
-    loop {
-        let outstanding = shared.outstanding.lock().unwrap();
-        if *outstanding <= 0 {
-            break;
-        }
-        let (guard, _) = shared
-            .idle
-            .wait_timeout(outstanding, Duration::from_millis(10))
-            .unwrap();
-        if *guard <= 0 {
-            break;
-        }
-    }
-    let counters = &shared.counters;
-    let accepted = counters.accepted.load(Ordering::Relaxed);
-    let completed = counters.completed.load(Ordering::Relaxed);
-    let lost = accepted as i64 - completed as i64;
-    ObjectBuilder::new()
-        .str("response", "drained")
-        .int("accepted", accepted)
-        .int("completed", completed)
-        .int("checkpointed", 0)
-        .int("unstarted", 0)
-        .int("replayed", 0)
-        .int("requeued", counters.shards_redispatched.load(Ordering::Relaxed))
-        .int(
-            "quarantined",
-            counters.shards_quarantined.load(Ordering::Relaxed),
-        )
-        .num("lost", lost as f64)
-        .build()
-}
-
-/// The coordinator's `stats` response: the full single-node counter
-/// surface (so `charon-cli submit --stats` renders unchanged; counters
-/// with no coordinator analogue read zero) plus the cluster extras and
-/// the per-node table as parallel arrays.
-fn cluster_stats_response(shared: &Arc<ClusterShared>) -> String {
-    let counters = &shared.counters;
-    let (journal_enabled, journal_appends) = match &shared.journal {
-        Some(journal) => (1, journal.lock().unwrap().appends()),
-        None => (0, 0),
-    };
-    let rows = shared.node_rows.lock().unwrap().clone();
-    let names: Vec<String> = rows.iter().map(|r| r.name.clone()).collect();
-    let (breaker_open, breaker_opens) = {
-        let breakers = shared.breakers.lock().unwrap();
-        (
-            breakers
-                .values()
-                .filter(|breaker| breaker.is_routing_around())
-                .count() as u64,
-            breakers.values().map(CircuitBreaker::opens).sum(),
-        )
-    };
-    let overload = charon::telemetry::OverloadStats {
-        // The coordinator queue is unbounded and never sheds; admission
-        // pressure is absorbed by the nodes' own shed controllers.
-        shed: 0,
-        deadline_expired: counters.deadline_expired.load(Ordering::Relaxed),
-        breaker_open,
-        breaker_opens,
-    };
-    let b = ObjectBuilder::new()
-        .str("response", "stats")
-        .int("protocol", PROTOCOL_VERSION)
-        .int("workers", shared.nodes.len() as u64)
-        .int("queue_depth", shared.queue.lock().unwrap().len() as u64)
-        .int("queue_capacity", 0)
-        .int("draining", u64::from(shared.draining.load(Ordering::SeqCst)))
-        .int("accepted", counters.accepted.load(Ordering::Relaxed))
-        .int("completed", counters.completed.load(Ordering::Relaxed))
-        .int("checkpointed", 0)
-        .int("unstarted", 0)
-        .int("rejected_full", 0)
-        .int(
-            "rejected_draining",
-            counters.rejected_draining.load(Ordering::Relaxed),
-        )
-        .int("errored", counters.errored.load(Ordering::Relaxed));
-    let mut b = overload
-        .fields(b)
-        .int("replayed", 0)
-        .int(
-            "requeued",
-            counters.shards_redispatched.load(Ordering::Relaxed),
-        )
-        .int(
-            "quarantined",
-            counters.shards_quarantined.load(Ordering::Relaxed),
-        )
-        .int("worker_deaths", counters.node_failures.load(Ordering::Relaxed))
-        .int("duplicates", counters.duplicates.load(Ordering::Relaxed))
-        .int(
-            "journal_errors",
-            counters.journal_errors.load(Ordering::Relaxed),
-        )
-        .int("journal_enabled", journal_enabled)
-        .int("journal_appends", journal_appends)
-        .int(
-            "results_entries",
-            shared.results.lock().unwrap().len() as u64,
-        )
-        .int("cache_entries", 0)
-        .int("cache_hits", 0)
-        .int("cache_misses", 0)
-        .int("cache_evictions", 0)
-        .num("cache_hit_rate", 0.0)
-        .int("registry_models", 0)
-        .int("registry_hits", 0)
-        .int("registry_misses", 0)
-        .int("attack_calls", 0)
-        .num("attack_seconds", 0.0)
-        .int("propagation_calls", 0)
-        .num("propagation_seconds", 0.0)
-        .int("policy_calls", 0)
-        .num("policy_seconds", 0.0)
-        .int("nodes", shared.nodes.len() as u64)
-        .int(
-            "shards_dispatched",
-            counters.shards_dispatched.load(Ordering::Relaxed),
-        )
-        .int(
-            "shards_completed",
-            counters.shards_completed.load(Ordering::Relaxed),
-        )
-        .int(
-            "shards_redispatched",
-            counters.shards_redispatched.load(Ordering::Relaxed),
-        )
-        .int(
-            "shards_quarantined",
-            counters.shards_quarantined.load(Ordering::Relaxed),
-        )
-        .int("node_failures", counters.node_failures.load(Ordering::Relaxed));
-    if !rows.is_empty() {
-        b = b
-            .str("node_names", &names.join(","))
-            .arr(
-                "node_dispatched",
-                &rows.iter().map(|r| r.dispatched as f64).collect::<Vec<_>>(),
-            )
-            .arr(
-                "node_completed",
-                &rows.iter().map(|r| r.completed as f64).collect::<Vec<_>>(),
-            )
-            .arr(
-                "node_redispatched",
-                &rows
-                    .iter()
-                    .map(|r| r.redispatched as f64)
-                    .collect::<Vec<_>>(),
-            )
-            .arr(
-                "node_idle_seconds",
-                &rows.iter().map(|r| r.idle_seconds).collect::<Vec<_>>(),
-            );
-    }
-    b.build()
+    shared.settle(&mut jobs, task.request.id);
 }
 
 #[cfg(test)]

@@ -52,6 +52,11 @@
 //!   histograms merged across all workers (the same
 //!   [`charon::telemetry::Metrics`] the CLI's `--report` renders).
 //!
+//! Admission, the journal, delivery, drain and the shared `stats`
+//! surface are the service front-end (`front.rs`), which the sharded
+//! [`Coordinator`] reuses unchanged; this module supplies the executor
+//! behind it, a supervised local worker pool.
+//!
 //! ```no_run
 //! use server::{Client, Server, ServerAddr, ServerConfig};
 //!
@@ -72,6 +77,7 @@ pub mod cache;
 pub mod client;
 pub mod cluster;
 pub mod faults;
+mod front;
 pub mod journal;
 pub mod net;
 pub mod overload;
@@ -83,33 +89,31 @@ pub use cache::{CacheKey, CachedResult, ResultCache};
 pub use client::{connect_retry, submit_reliable, Client, ClientError, RetryPolicy};
 pub use cluster::{Coordinator, CoordinatorConfig, CoordinatorHandle, MergeState};
 pub use faults::{ServerFaultPlan, ServerFaultPlanBuilder};
+pub use front::ServerHandle;
 pub use net::{ServerAddr, Stream};
 pub use overload::{BreakerState, CircuitBreaker, SojournController};
 pub use protocol::{Request, ShardRequest, ShardResult, VerifyRequest, PROTOCOL_VERSION};
 pub use queue::{JobQueue, RejectReason};
 pub use registry::ModelRegistry;
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use charon::json::ObjectBuilder;
-use charon::telemetry::{Histogram, Metrics};
+use charon::telemetry::{Histogram, Metrics, OverloadStats};
 use charon::{
     BudgetKind, Checkpoint, RobustnessProperty, Verdict, Verifier, VerifierConfig, VerifyError,
+    VerifyRun,
 };
 use domains::Workspace;
 
-use journal::{Journal, Record};
-use net::{read_line_bounded, Listener, DEFAULT_MAX_LINE_BYTES};
-use protocol::{
-    accepted_response, checkpointed_response, error_response, pending_response, poisoned_response,
-    pong_response, unknown_response, unstarted_response,
-};
+use front::{get, inc, ExecStats, Executor, Front, FrontConfig, Reply};
+use journal::{Record, RecoveredJob};
+use net::DEFAULT_MAX_LINE_BYTES;
+use protocol::{checkpointed_response, error_response, poisoned_response, unstarted_response};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -185,16 +189,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a job's responses go.
-#[derive(Clone)]
-enum Reply {
-    /// The live submitting connection.
-    Socket(Arc<Mutex<Stream>>),
-    /// A journal-replayed job whose original connection died with the
-    /// previous process; the terminal response is stored for `query`.
-    Recovered,
-}
-
 /// One admitted verification job.
 #[derive(Clone)]
 struct Job {
@@ -212,164 +206,79 @@ struct Job {
     checkpoint: Option<String>,
 }
 
-fn send_line(reply: &Reply, line: &str) {
-    // The client may be gone; a failed response write must not take the
-    // daemon down (Rust already ignores SIGPIPE).
-    let Reply::Socket(sock) = reply else { return };
-    let mut writer = sock.lock().unwrap();
-    let _ = writer.write_all(line.as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.flush();
-}
-
+/// Counters only the worker pool keeps.
 #[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    checkpointed: AtomicU64,
-    unstarted: AtomicU64,
+struct PoolCounters {
     rejected_full: AtomicU64,
-    rejected_draining: AtomicU64,
     shed: AtomicU64,
-    errored: AtomicU64,
-    deadline_expired: AtomicU64,
     /// Wall-clock nanoseconds workers spent executing jobs, paired with
     /// `serviced` to expose the average service time the
     /// `retry_after_ms` estimator divides by.
     service_ns: AtomicU64,
     serviced: AtomicU64,
-    replayed: AtomicU64,
-    requeued: AtomicU64,
-    quarantined: AtomicU64,
     worker_deaths: AtomicU64,
-    journal_errors: AtomicU64,
-    duplicates: AtomicU64,
     shards_executed: AtomicU64,
     shards_refuted: AtomicU64,
     shards_limited: AtomicU64,
 }
 
-/// Bounded store of terminal responses by job id, answering `query` and
-/// deduplicated resubmissions.
-struct ResultsStore {
-    map: HashMap<u64, String>,
-    order: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl ResultsStore {
-    fn new(capacity: usize) -> Self {
-        ResultsStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn insert(&mut self, id: u64, line: String) {
-        if self.map.insert(id, line).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > self.capacity {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.map.remove(&evicted);
-                }
-            }
-        }
-    }
-
-    fn get(&self, id: u64) -> Option<String> {
-        self.map.get(&id).cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// Whether a terminal response line is *retryable* (`busy`, or a
-/// queue-full-class error): those must not be replayed to a
-/// deduplicated resubmission as if they were the job's verdict.
-fn is_retryable_response(line: &str) -> bool {
-    let Ok(fields) = charon::json::parse_flat_object(line) else {
-        return false;
-    };
-    match fields.str_field("response").as_deref() {
-        Ok("busy") => true,
-        Ok("error") => fields
-            .str_field("error")
-            .is_ok_and(|code| client::is_retryable_error_code(&code)),
-        _ => false,
-    }
-}
-
-struct Shared {
+/// The daemon's executor: a bounded priority queue drained by a
+/// supervised pool of worker threads, each reusing one scratch arena.
+struct LocalPool {
+    front: Front,
     registry: ModelRegistry,
     queue: JobQueue<Job>,
     cache: Mutex<ResultCache>,
     metrics: Mutex<Metrics>,
     job_hist: Mutex<Histogram>,
-    counters: Counters,
-    draining: AtomicBool,
-    shutdown: AtomicBool,
+    counters: PoolCounters,
     /// Cancellation flags of jobs currently being verified.
     inflight: Mutex<Vec<(u64, Arc<AtomicBool>)>>,
-    /// Admitted jobs that have not yet reached a terminal response
-    /// (completed, checkpointed, or unstarted). Drain waits on this.
-    outstanding: Mutex<i64>,
-    idle: Condvar,
     workers: usize,
-    journal: Option<Mutex<Journal>>,
-    results: Mutex<ResultsStore>,
-    /// Ids of admitted jobs that are not yet terminal.
-    known: Mutex<HashSet<u64>>,
-    retry_budget: u32,
-    max_line_bytes: usize,
     /// Sojourn-time shed controller (admission + dequeue feed it);
     /// absent when no shed target is configured.
     shed: Option<SojournController>,
     /// Reply-delivery reserve subtracted from remaining deadlines.
     reply_margin: Duration,
-    faults: Option<Arc<ServerFaultPlan>>,
 }
 
-impl Shared {
-    fn new(config: &ServerConfig, journal: Option<Journal>) -> Self {
-        Shared {
-            registry: ModelRegistry::new(),
-            queue: JobQueue::new(config.queue_capacity),
-            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            metrics: Mutex::new(Metrics::new()),
-            job_hist: Mutex::new(Histogram::new()),
-            counters: Counters::default(),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            inflight: Mutex::new(Vec::new()),
-            outstanding: Mutex::new(0),
-            idle: Condvar::new(),
-            workers: config.workers,
-            journal: journal.map(Mutex::new),
-            results: Mutex::new(ResultsStore::new(config.results_capacity)),
-            known: Mutex::new(HashSet::new()),
-            retry_budget: config.retry_budget.max(1),
-            max_line_bytes: config.max_line_bytes,
-            shed: config
-                .shed_target
-                .map(|target| SojournController::new(target, config.shed_interval)),
-            reply_margin: config.reply_margin,
-            faults: config.faults.clone(),
-        }
-    }
+/// A job's or shard's model and property, resolved, with its verifier
+/// configured.
+struct Prepared {
+    id: u64,
+    net_hash: u64,
+    net: Arc<nn::Network>,
+    property: RobustnessProperty,
+    verifier: Verifier,
+}
 
+impl Prepared {
+    /// Runs the verification (resuming from `checkpoint` when given).
+    /// `Err` is the typed `model_error`/`engine_error` response.
+    fn run(&self, checkpoint: Option<&str>, ws: &mut Workspace) -> Result<VerifyRun, String> {
+        let run = match checkpoint {
+            Some(text) => Checkpoint::from_text(text)
+                .and_then(|checkpoint| self.verifier.resume_ws(&self.net, &checkpoint, ws)),
+            None => self
+                .verifier
+                .try_verify_run_ws(&self.net, &self.property, ws),
+        };
+        run.map_err(|error| {
+            let code = match &error {
+                VerifyError::MalformedModel { .. } => "model_error",
+                _ => "engine_error",
+            };
+            error_response(Some(self.id), code, &error.to_string())
+        })
+    }
+}
+
+impl LocalPool {
     /// Observed mean service time (a moderate default until the first
     /// job completes).
     fn avg_service(&self) -> Duration {
-        let serviced = self.counters.serviced.load(Ordering::Relaxed);
-        match self
-            .counters
-            .service_ns
-            .load(Ordering::Relaxed)
-            .checked_div(serviced)
-        {
+        let serviced = get(&self.counters.serviced);
+        match get(&self.counters.service_ns).checked_div(serviced) {
             Some(mean_ns) => Duration::from_nanos(mean_ns),
             // Cold estimator: assume a moderate job until we've seen one.
             None => Duration::from_millis(100),
@@ -390,75 +299,90 @@ impl Shared {
         overload::retry_after_ms(self.queue.len(), self.workers, self.avg_service())
     }
 
-    /// Marks one admitted job terminal and wakes a waiting drain.
-    fn job_terminal(&self) {
-        let mut outstanding = self.outstanding.lock().unwrap();
-        *outstanding -= 1;
-        drop(outstanding);
-        self.idle.notify_all();
+    /// Loads the model, parses the property and configures the verifier:
+    /// the part a queued job and a coordinator shard share. `Err` is the
+    /// typed `model_error`/`bad_request` response.
+    fn prepare(
+        &self,
+        spec: &ShardRequest,
+        budget: Duration,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Result<Prepared, String> {
+        let (net_hash, net) = self
+            .registry
+            .load(&spec.network)
+            .map_err(|message| error_response(Some(spec.id), "model_error", &message))?;
+        let property = RobustnessProperty::from_text(&spec.property).map_err(|message| {
+            error_response(
+                Some(spec.id),
+                "bad_request",
+                &format!("property: {message}"),
+            )
+        })?;
+        let mut verifier = Verifier::default();
+        *verifier.config_mut() = VerifierConfig {
+            delta: spec.delta,
+            timeout: budget,
+            max_regions: spec.max_regions,
+            restarts: spec.restarts,
+            seed: spec.seed,
+            counterexample_search: spec.cex_search,
+            certificates: spec.cert,
+            lipschitz_prefilter: false,
+            cancel,
+            faults: None,
+        };
+        Ok(Prepared {
+            id: spec.id,
+            net_hash,
+            net,
+            property,
+            verifier,
+        })
     }
 
-    /// Appends a load-bearing record; the caller decides what an error
-    /// means (admission refuses the job on failure).
-    fn journal_append(&self, record: &Record) -> std::io::Result<()> {
-        match &self.journal {
-            Some(journal) => journal.lock().unwrap().append(record),
-            None => Ok(()),
+    /// The job's verification budget: its timeout, clamped to the
+    /// remaining client deadline minus the reply margin so the
+    /// verifier's anytime ladder absorbs deadline pressure. `None` once
+    /// the deadline leaves nothing to run on.
+    fn budget(&self, job: &Job) -> Option<Duration> {
+        let budget = Duration::from_millis(job.request.timeout_ms);
+        match job.request.deadline_ms {
+            Some(deadline_ms) => charon::deadline::clamp_budget(
+                budget,
+                charon::deadline::remaining_ms(deadline_ms, job.accepted_at.elapsed()),
+                self.reply_margin,
+            ),
+            None => Some(budget),
         }
     }
 
-    /// Appends a best-effort state-transition record; failures are
-    /// counted but do not stop the job (replay just redoes more work).
-    fn journal_transition(&self, record: &Record) {
-        if self.journal_append(record).is_err() {
-            self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Counts a job that spent its deadline in the queue and returns its
+    /// `deadline_expired` answer.
+    fn expired(&self, id: u64) -> String {
+        inc(&self.front.counters.deadline_expired);
+        inc(&self.front.counters.completed);
+        error_response(
+            Some(id),
+            "deadline_expired",
+            "job spent its deadline in the queue",
+        )
     }
 
-    /// Delivers a terminal response for an admitted job: journals the
-    /// completion, stores it for `query`, releases the id, writes it to
-    /// the submitter if the connection is still there, and settles the
-    /// drain accounting.
-    fn deliver(&self, id: u64, reply: &Reply, response: &str) {
-        self.journal_transition(&Record::Completed {
-            id,
-            response: response.to_string(),
-        });
-        if !is_retryable_response(response) {
-            self.results.lock().unwrap().insert(id, response.to_string());
+    /// Gives a job another attempt (capacity-exempt), or reports it back
+    /// `unstarted` once the daemon is draining.
+    fn requeue(&self, job: Job) {
+        let priority = job.request.priority;
+        if let Err((job, _)) = self.queue.requeue(priority, job) {
+            inc(&self.front.counters.unstarted);
+            self.front
+                .deliver(job.id, &job.reply, &unstarted_response(job.id));
         }
-        self.known.lock().unwrap().remove(&id);
-        send_line(reply, response);
-        self.job_terminal();
     }
 }
 
 /// A running daemon.
 pub struct Server;
-
-/// Handle to a started daemon: its bound address plus the thread handles
-/// [`ServerHandle::join`] waits on.
-pub struct ServerHandle {
-    addr: ServerAddr,
-    listener: JoinHandle<()>,
-    supervisors: Vec<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The address the daemon is listening on (for TCP port 0, the
-    /// kernel-assigned port).
-    pub fn addr(&self) -> &ServerAddr {
-        &self.addr
-    }
-
-    /// Blocks until the daemon has drained and shut down.
-    pub fn join(self) {
-        let _ = self.listener.join();
-        for supervisor in self.supervisors {
-            let _ = supervisor.join();
-        }
-    }
-}
 
 impl Server {
     /// Opens the journal (replaying and compacting any existing one),
@@ -472,107 +396,117 @@ impl Server {
     /// *corrupt* journal refuses to start rather than silently dropping
     /// jobs; a torn final record is expected crash damage and is fine).
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-        let (journal, replay) = match &config.journal {
-            Some(path) => {
-                let (journal, replay) = Journal::open(path, config.faults.clone())?;
-                (Some(journal), Some(replay))
-            }
-            None => (None, None),
+        let front = FrontConfig {
+            addr: config.addr.clone(),
+            journal: config.journal.clone(),
+            results_capacity: config.results_capacity,
+            retry_budget: config.retry_budget,
+            max_line_bytes: config.max_line_bytes,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            faults: config.faults.clone(),
         };
-        let listener = Listener::bind(&config.addr)?;
-        let addr = listener.local_addr(&config.addr);
-        let shared = Arc::new(Shared::new(&config, journal));
-
-        if let Some(replay) = replay {
-            restore(&shared, replay);
-        }
-
-        let mut supervisors = Vec::with_capacity(config.workers.max(1));
-        for _ in 0..config.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            supervisors.push(std::thread::spawn(move || supervisor_loop(&shared)));
-        }
-
-        let listen_shared = Arc::clone(&shared);
-        let listen_addr = addr.clone();
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        let listener_thread = std::thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        if let Some(plan) = &listen_shared.faults {
-                            if plan.conn_drop.check() {
-                                stream.shutdown();
-                                continue;
-                            }
-                        }
-                        let _ = stream.set_read_timeout(read_timeout);
-                        let _ = stream.set_write_timeout(write_timeout);
-                        let shared = Arc::clone(&listen_shared);
-                        let addr = listen_addr.clone();
-                        std::thread::spawn(move || connection_loop(&shared, stream, &addr));
-                    }
-                    Err(_) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if let ServerAddr::Unix(path) = &listen_addr {
-                let _ = std::fs::remove_file(path);
-            }
-        });
-
-        Ok(ServerHandle {
-            addr,
-            listener: listener_thread,
-            supervisors,
+        front::start(front, |front| LocalPool {
+            front,
+            registry: ModelRegistry::new(),
+            queue: JobQueue::new(config.queue_capacity),
+            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
+            metrics: Mutex::new(Metrics::new()),
+            job_hist: Mutex::new(Histogram::new()),
+            counters: PoolCounters::default(),
+            inflight: Mutex::new(Vec::new()),
+            workers: config.workers,
+            shed: config
+                .shed_target
+                .map(|target| SojournController::new(target, config.shed_interval)),
+            reply_margin: config.reply_margin,
         })
     }
 }
 
-/// Re-admits what the journal replay recovered: stored results become
-/// queryable, live jobs are re-enqueued (resuming from their last
-/// checkpoint), and jobs that were already in flight through
-/// `retry_budget` process deaths are quarantined instead of being given
-/// another chance to take the daemon down.
-fn restore(shared: &Arc<Shared>, replay: journal::Replay) {
-    {
-        let mut results = shared.results.lock().unwrap();
-        for (id, response) in replay.results {
-            if !is_retryable_response(&response) {
-                results.insert(id, response);
+impl Executor for LocalPool {
+    const TIER: &'static str = "daemon";
+    type Admitted = ();
+    /// The scratch arena shard requests run in, created on first use so
+    /// plain clients pay nothing for it.
+    type Scratch = Option<Workspace>;
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn spawn(pool: &Arc<Self>) -> Vec<JoinHandle<()>> {
+        (0..pool.workers.max(1))
+            .map(|_| {
+                let pool = Arc::clone(pool);
+                std::thread::spawn(move || supervisor_loop(&pool))
+            })
+            .collect()
+    }
+
+    /// The shed controller. High-priority work rides through: shedding
+    /// protects the latency of the queue by refusing the newest
+    /// low-priority arrivals.
+    ///
+    /// The refusal is additionally gated on the *estimated* delay a new
+    /// arrival would face: while the tripped controller waits for the
+    /// backlog to drain, admission resumes as soon as the queue is short
+    /// enough again — without this, a drained-empty queue produces no
+    /// dequeue observations and the latch would shed forever.
+    fn admit(&self, request: &VerifyRequest) -> Result<(), String> {
+        if let Some(shed) = &self.shed {
+            if request.priority <= 0
+                && shed.should_shed()
+                && self.queue_delay_estimate() >= shed.target()
+            {
+                inc(&self.counters.shed);
+                return Err(protocol::busy_response(
+                    request.id,
+                    self.retry_hint_ms(),
+                    "shed",
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn enqueue(&self, request: VerifyRequest, (): (), reply: Reply) -> Result<(), String> {
+        let job = Job {
+            id: request.id,
+            accepted_at: Instant::now(),
+            cancel: Arc::new(AtomicBool::new(false)),
+            reply,
+            attempts: 0,
+            kills: 0,
+            checkpoint: None,
+            request,
+        };
+        match self.queue.push(job.request.priority, job) {
+            Ok(()) => Ok(()),
+            // A full queue is the `busy` surface (protocol ≥ 5): the
+            // refusal carries how long the queue needs to drain, so
+            // clients back off usefully instead of guessing.
+            Err((job, RejectReason::Full)) => {
+                inc(&self.counters.rejected_full);
+                Err(protocol::busy_response(
+                    job.id,
+                    self.retry_hint_ms(),
+                    "queue_full",
+                ))
+            }
+            Err((job, RejectReason::Closed)) => {
+                inc(&self.front.counters.rejected_draining);
+                Err(front::draining_response::<Self>(job.id))
             }
         }
     }
-    for recovered in replay.live {
-        let id = recovered.request.id;
-        shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-        *shared.outstanding.lock().unwrap() += 1;
-        if recovered.starts >= shared.retry_budget {
-            let response = poisoned_response(
-                id,
-                &format!(
-                    "job was in flight during {} process deaths; quarantined on replay",
-                    recovered.starts
-                ),
-                recovered.starts,
-            );
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            shared.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-            shared.deliver(id, &Reply::Recovered, &response);
-            continue;
-        }
-        shared.known.lock().unwrap().insert(id);
-        let priority = recovered.request.priority;
-        let job = Job {
-            id,
+
+    /// Re-enqueues a replayed job, resuming from its last checkpoint.
+    /// `requeue`, not `push`: it was admitted by a previous life and must
+    /// not bounce off the capacity check.
+    fn recover(&self, recovered: RecoveredJob) {
+        self.requeue(Job {
+            id: recovered.request.id,
             request: recovered.request,
             accepted_at: Instant::now(),
             cancel: Arc::new(AtomicBool::new(false)),
@@ -580,227 +514,76 @@ fn restore(shared: &Arc<Shared>, replay: journal::Replay) {
             attempts: recovered.starts,
             kills: recovered.starts,
             checkpoint: recovered.checkpoint,
-        };
-        // `requeue`, not `push`: replayed jobs were admitted by a
-        // previous life and must not bounce off the capacity check.
-        if let Err((job, _)) = shared.queue.requeue(priority, job) {
-            shared.counters.unstarted.fetch_add(1, Ordering::Relaxed);
-            shared.deliver(job.id, &job.reply, &unstarted_response(job.id));
-        }
+        });
     }
-}
 
-fn connection_loop(shared: &Arc<Shared>, stream: Stream, addr: &ServerAddr) {
-    let sock: Arc<Mutex<Stream>> = match stream.try_clone() {
-        Ok(writer) => Arc::new(Mutex::new(writer)),
-        Err(_) => return,
-    };
-    let reply = Reply::Socket(Arc::clone(&sock));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    // Shard requests (cluster tier) execute synchronously on this
-    // connection thread; the scratch arena is created on first use so
-    // plain clients pay nothing for it.
-    let mut shard_ws: Option<Workspace> = None;
-    loop {
-        line.clear();
-        match read_line_bounded(&mut reader, &mut line, shared.max_line_bytes) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                send_line(&reply, &error_response(None, "bad_request", &e.to_string()));
-                return;
+    /// Shards execute synchronously on the connection thread.
+    fn node_request(&self, request: Request, ws: &mut Option<Workspace>) -> String {
+        match request {
+            Request::Shard(shard) => {
+                execute_shard(self, &shard, ws.get_or_insert_with(Workspace::new))
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle-timeout policy: close only if no queued or
-                // in-flight job still holds this connection's reply
-                // handle; otherwise keep waiting for the next request.
-                // Two references are the connection's own (`sock` plus
-                // the clone inside `reply`); anything beyond that is a
-                // job that still owes this client a response.
-                if Arc::strong_count(&sock) <= 2 {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match Request::parse(trimmed) {
-            Err(e) => send_line(&reply, &error_response(None, "bad_request", &e)),
-            Ok(Request::Ping) => send_line(&reply, &pong_response()),
-            Ok(Request::Stats) => send_line(&reply, &stats_response(shared)),
-            Ok(Request::Query { id }) => {
-                let stored = shared.results.lock().unwrap().get(id);
-                let response = match stored {
-                    Some(line) => line,
-                    None if shared.known.lock().unwrap().contains(&id) => pending_response(id),
-                    None => unknown_response(id),
-                };
-                send_line(&reply, &response);
-            }
-            Ok(Request::Verify(request)) => submit(shared, request, &sock),
-            Ok(Request::Shard(shard)) => {
-                let ws = shard_ws.get_or_insert_with(Workspace::new);
-                let response = execute_shard(shared, &shard, ws);
-                send_line(&reply, &response);
-            }
-            Ok(Request::NodeHello) => {
-                send_line(&reply, &protocol::node_hello_response(shared.workers));
-            }
-            Ok(Request::NodeStats) => {
-                let counters = &shared.counters;
-                send_line(
-                    &reply,
-                    &protocol::node_stats_response(
-                        counters.shards_executed.load(Ordering::Relaxed),
-                        counters.shards_refuted.load(Ordering::Relaxed),
-                        counters.shards_limited.load(Ordering::Relaxed),
-                    ),
-                );
-            }
-            Ok(Request::Drain) => {
-                let summary = drain(shared);
-                // Write the summary before waking the listener: once the
-                // listener exits, `ServerHandle::join` returns and the
-                // hosting process may exit, killing this thread. The
-                // response must already be on the wire by then.
-                send_line(&reply, &summary);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = Stream::connect(addr);
-                return;
-            }
+            Request::NodeHello => protocol::node_hello_response(self.workers),
+            _ => protocol::node_stats_response(
+                get(&self.counters.shards_executed),
+                get(&self.counters.shards_refuted),
+                get(&self.counters.shards_limited),
+            ),
         }
     }
-}
 
-/// Admission control: reject while draining or at capacity, deduplicate
-/// `ack`-mode resubmissions, journal, then enqueue. Every admitted job
-/// is guaranteed a terminal response — by this process or, with a
-/// journal, by the next one.
-fn submit(shared: &Arc<Shared>, request: VerifyRequest, sock: &Arc<Mutex<Stream>>) {
-    let id = request.id;
-    let reply = Reply::Socket(Arc::clone(sock));
-    if shared.draining.load(Ordering::SeqCst) {
-        shared
-            .counters
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "draining", "daemon is draining; resubmit later"),
-        );
-        return;
-    }
-    if request.ack {
-        // Idempotent ids: a resubmission (a retry whose ack or verdict
-        // was lost in a crash) must not run the job twice.
-        if shared.known.lock().unwrap().contains(&id) {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, &accepted_response(id, true));
-            return;
+    /// Reports every still-queued job back to its submitter `unstarted`,
+    /// and cancels in-flight jobs so they return checkpoints.
+    fn cancel(&self) {
+        for job in self.queue.close_and_drain() {
+            inc(&self.front.counters.unstarted);
+            self.front
+                .deliver(job.id, &job.reply, &unstarted_response(job.id));
         }
-        if let Some(stored) = shared.results.lock().unwrap().get(id) {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, &stored);
-            return;
+        for (_, cancel) in self.inflight.lock().unwrap().iter() {
+            cancel.store(true, Ordering::SeqCst);
         }
     }
-    // The shed controller runs after deduplication (a retry of a job we
-    // already hold must be answered, not shed) and before the journal
-    // (a shed submission was never accepted, so nothing is persisted).
-    // High-priority work rides through: shedding protects the latency
-    // of the queue by refusing the newest low-priority arrivals.
-    //
-    // The refusal is additionally gated on the *estimated* delay a new
-    // arrival would face: while the tripped controller waits for the
-    // backlog to drain, admission resumes as soon as the queue is short
-    // enough again — without this, a drained-empty queue produces no
-    // dequeue observations and the latch would shed forever.
-    if let Some(shed) = &shared.shed {
-        if request.priority <= 0
-            && shed.should_shed()
-            && shared.queue_delay_estimate() >= shed.target()
-        {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            send_line(
-                &reply,
-                &protocol::busy_response(id, shared.retry_hint_ms(), "shed"),
-            );
-            return;
+
+    fn stats(&self) -> ExecStats {
+        let metrics = self.metrics.lock().unwrap().clone();
+        let cache = self.cache.lock().unwrap();
+        ExecStats {
+            workers: self.workers,
+            queue_depth: self.queue.len(),
+            queue_capacity: self.queue.capacity(),
+            rejected_full: get(&self.counters.rejected_full),
+            // A single-node daemon has no breakers; those read zero.
+            overload: OverloadStats {
+                shed: get(&self.counters.shed),
+                ..OverloadStats::default()
+            },
+            worker_deaths: get(&self.counters.worker_deaths),
+            cache_entries: cache.len(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_evictions: cache.evictions(),
+            cache_hit_rate: cache.hit_rate(),
+            registry_models: self.registry.len(),
+            registry_hits: self.registry.hits(),
+            registry_misses: self.registry.misses(),
+            metrics,
         }
     }
-    // The accepted record is load-bearing: it must be on disk before the
-    // client hears anything, otherwise a crash between ack and disk
-    // would silently lose an acknowledged job.
-    if let Err(e) = shared.journal_append(&Record::Accepted {
-        id,
-        request: request.clone(),
-    }) {
-        shared.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "journal_error", &format!("journal append: {e}")),
-        );
-        return;
-    }
-    let wants_ack = request.ack;
-    let priority = request.priority;
-    let job = Job {
-        id,
-        request,
-        accepted_at: Instant::now(),
-        cancel: Arc::new(AtomicBool::new(false)),
-        reply,
-        attempts: 0,
-        kills: 0,
-        checkpoint: None,
-    };
-    // Count the job outstanding *before* it becomes poppable, so a
-    // drain can never observe an admitted-but-uncounted job; likewise
-    // the ack goes out before the push so it always precedes the
-    // verdict on the wire.
-    *shared.outstanding.lock().unwrap() += 1;
-    shared.known.lock().unwrap().insert(id);
-    if wants_ack {
-        send_line(&job.reply, &accepted_response(id, false));
-    }
-    match shared.queue.push(priority, job) {
-        Ok(()) => {
-            shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        Err((job, reason)) => {
-            let response = match reason {
-                // A full queue is the `busy` surface (protocol ≥ 5):
-                // the refusal carries how long the queue needs to
-                // drain, so clients back off usefully instead of
-                // guessing.
-                RejectReason::Full => {
-                    shared.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-                    protocol::busy_response(job.id, shared.retry_hint_ms(), "queue_full")
-                }
-                RejectReason::Closed => {
-                    shared
-                        .counters
-                        .rejected_draining
-                        .fetch_add(1, Ordering::Relaxed);
-                    error_response(
-                        Some(job.id),
-                        "draining",
-                        "daemon is draining; resubmit later",
-                    )
-                }
-            };
-            shared.deliver(job.id, &job.reply, &response);
-        }
+
+    /// The per-phase latency histograms merged across all workers.
+    fn stats_tail(&self, b: ObjectBuilder, stats: &ExecStats) -> ObjectBuilder {
+        let to_f64 = |counts: &[u64]| -> Vec<f64> { counts.iter().map(|&c| c as f64).collect() };
+        let job_hist = self.job_hist.lock().unwrap().clone();
+        b.arr("job_latency_hist", &to_f64(job_hist.counts()))
+            .arr(
+                "attack_latency_hist",
+                &to_f64(stats.metrics.attack_hist.counts()),
+            )
+            .arr(
+                "propagation_latency_hist",
+                &to_f64(stats.metrics.propagation_hist.counts()),
+            )
     }
 }
 
@@ -820,46 +603,40 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// dead worker held is re-queued (capacity-exempt) unless it has spent
 /// its retry budget, in which case it is quarantined with a `poisoned`
 /// verdict carrying the panic diagnostic.
-fn supervisor_loop(shared: &Arc<Shared>) {
+fn supervisor_loop(pool: &Arc<LocalPool>) {
+    let front = &pool.front;
     loop {
         let slot: Arc<Mutex<Option<Job>>> = Arc::new(Mutex::new(None));
-        let worker_shared = Arc::clone(shared);
+        let worker_pool = Arc::clone(pool);
         let worker_slot = Arc::clone(&slot);
         let worker = std::thread::Builder::new()
             .name("charon-worker".to_string())
-            .spawn(move || worker_loop(&worker_shared, &worker_slot))
+            .spawn(move || worker_loop(&worker_pool, &worker_slot))
             .expect("spawn worker thread");
         let payload = match worker.join() {
             Ok(()) => return, // Clean exit: the queue is closed and empty.
             Err(payload) => payload,
         };
         let diagnostic = panic_text(payload.as_ref());
-        shared.counters.worker_deaths.fetch_add(1, Ordering::Relaxed);
+        inc(&pool.counters.worker_deaths);
         let orphan = slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
         if let Some(mut job) = orphan {
-            shared
-                .inflight
+            pool.inflight
                 .lock()
                 .unwrap()
                 .retain(|(id, _)| *id != job.id);
             job.kills += 1;
-            if job.kills >= shared.retry_budget {
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                shared.counters.quarantined.fetch_add(1, Ordering::Relaxed);
+            if job.kills >= front.retry_budget {
+                inc(&front.counters.completed);
+                inc(&front.counters.quarantined);
                 let response = poisoned_response(job.id, &diagnostic, job.kills);
-                shared.deliver(job.id, &job.reply, &response);
+                front.deliver(job.id, &job.reply, &response);
             } else {
-                shared.counters.requeued.fetch_add(1, Ordering::Relaxed);
-                let priority = job.request.priority;
-                if let Err((job, _)) = shared.queue.requeue(priority, job) {
-                    // Draining: the job goes back to its submitter
-                    // unstarted, like everything else still queued.
-                    shared.counters.unstarted.fetch_add(1, Ordering::Relaxed);
-                    shared.deliver(job.id, &job.reply, &unstarted_response(job.id));
-                }
+                inc(&front.counters.requeued);
+                pool.requeue(job);
             }
         }
         // Loop: respawn the worker (with a fresh Workspace) and keep
@@ -867,145 +644,96 @@ fn supervisor_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, slot: &Mutex<Option<Job>>) {
+fn worker_loop(pool: &Arc<LocalPool>, slot: &Mutex<Option<Job>>) {
+    let front = &pool.front;
     // The tentpole of the service hot path: one scratch arena per
     // worker, reused across every job this thread ever runs. A respawn
     // after a death starts from a fresh arena, so a panic can never
     // leak a poisoned scratch state into the next job.
     let mut ws = Workspace::new();
-    while let Some(mut job) = shared.queue.pop() {
+    while let Some(mut job) = pool.queue.pop() {
         // Feed the shed controller the queue sojourn this dequeue
         // observed (first attempts only: a requeued orphan's
         // `accepted_at` includes execution time, not queue latency).
-        if let (Some(shed), 0) = (&shared.shed, job.attempts) {
+        if let (Some(shed), 0) = (&pool.shed, job.attempts) {
             shed.observe(job.accepted_at.elapsed(), Instant::now());
         }
         // A job whose deadline ran out while queued is answered here,
         // without registering in-flight state or starting the verifier:
         // under overload, workers must not burn time on answers nobody
         // is waiting for.
-        if let Some(deadline_ms) = job.request.deadline_ms {
-            let remaining =
-                charon::deadline::remaining_ms(deadline_ms, job.accepted_at.elapsed());
-            if charon::deadline::clamp_budget(
-                Duration::from_millis(job.request.timeout_ms),
-                remaining,
-                shared.reply_margin,
-            )
-            .is_none()
-            {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                shared.deliver(
-                    job.id,
-                    &job.reply,
-                    &error_response(
-                        Some(job.id),
-                        "deadline_expired",
-                        "job spent its deadline in the queue",
-                    ),
-                );
-                continue;
-            }
+        if pool.budget(&job).is_none() {
+            front.deliver(job.id, &job.reply, &pool.expired(job.id));
+            continue;
         }
         job.attempts += 1;
         // Park a copy where the supervisor can recover it if this thread
         // dies anywhere below.
         *slot.lock().unwrap() = Some(job.clone());
-        shared
-            .inflight
+        pool.inflight
             .lock()
             .unwrap()
             .push((job.id, Arc::clone(&job.cancel)));
-        shared.journal_transition(&Record::Started {
+        front.journal_transition(&Record::Started {
             id: job.id,
             attempt: job.attempts,
         });
-        if let Some(plan) = &shared.faults {
+        if let Some(plan) = &front.faults {
             if plan.worker_must_die(job.id) {
                 panic!("injected worker kill (job {})", job.id);
             }
         }
         let started = Instant::now();
-        let response = execute_job(shared, &job, &mut ws);
+        let response = execute_job(pool, &job, &mut ws);
         // Service-time accounting drives the `retry_after_ms` drain-rate
         // estimate handed to refused clients.
-        shared
-            .counters
-            .service_ns
-            .fetch_add(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        shared.counters.serviced.fetch_add(1, Ordering::Relaxed);
-        shared
-            .inflight
+        pool.counters.service_ns.fetch_add(
+            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+            Ordering::Relaxed,
+        );
+        inc(&pool.counters.serviced);
+        pool.inflight
             .lock()
             .unwrap()
             .retain(|(id, _)| *id != job.id);
         *slot.lock().unwrap() = None;
-        shared.deliver(job.id, &job.reply, &response);
+        front.deliver(job.id, &job.reply, &response);
     }
 }
 
 /// Runs one admitted job to a terminal response line, updating counters
 /// and telemetry.
-fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
+fn execute_job(pool: &LocalPool, job: &Job, ws: &mut Workspace) -> String {
     let start = Instant::now();
-    let counters = &shared.counters;
+    let front = &pool.front;
+    let counters = &front.counters;
     let request = &job.request;
 
-    // Clamp the verification budget to the remaining client deadline
-    // minus the reply margin, so the verifier's anytime ladder absorbs
-    // the pressure. The dequeue path already filtered jobs that expired
-    // in the queue; this re-check closes the race against the clock.
-    let mut budget = Duration::from_millis(request.timeout_ms);
-    if let Some(deadline_ms) = request.deadline_ms {
-        let remaining = charon::deadline::remaining_ms(deadline_ms, job.accepted_at.elapsed());
-        match charon::deadline::clamp_budget(budget, remaining, shared.reply_margin) {
-            Some(clamped) => budget = clamped,
-            None => {
-                counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                return error_response(
-                    Some(job.id),
-                    "deadline_expired",
-                    "job spent its deadline in the queue",
-                );
-            }
-        }
-    }
-
-    let (net_hash, net) = match shared.registry.load(&request.network) {
-        Ok(found) => found,
-        Err(message) => {
-            counters.errored.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            return error_response(Some(job.id), "model_error", &message);
-        }
-    };
-    let property = match RobustnessProperty::from_text(&request.property) {
-        Ok(property) => property,
-        Err(message) => {
-            counters.errored.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            return error_response(Some(job.id), "bad_request", &format!("property: {message}"));
-        }
+    // The dequeue path already filtered jobs that expired in the queue;
+    // this re-check closes the race against the clock.
+    let Some(budget) = pool.budget(job) else {
+        return pool.expired(job.id);
     };
 
+    let spec = request.shard(0, request.property.clone());
+    let prepared = match pool.prepare(&spec, budget, Some(Arc::clone(&job.cancel))) {
+        Ok(prepared) => prepared,
+        Err(response) => {
+            inc(&counters.errored);
+            inc(&counters.completed);
+            return response;
+        }
+    };
+    let net_hash = prepared.net_hash;
     let key = CacheKey {
         net_hash,
-        property: property.to_text(),
+        property: prepared.property.to_text(),
         config: request.config_key(),
     };
-    if let Some(hit) = shared.cache.lock().unwrap().get(&key) {
-        counters.completed.fetch_add(1, Ordering::Relaxed);
+    if let Some(hit) = pool.cache.lock().unwrap().get(&key) {
+        inc(&counters.completed);
         let elapsed = start.elapsed();
-        shared
-            .job_hist
-            .lock()
-            .unwrap()
-            .observe(elapsed.as_secs_f64());
+        pool.job_hist.lock().unwrap().observe(elapsed.as_secs_f64());
         let mut b = ObjectBuilder::new()
             .str("response", "verdict")
             .int("id", job.id)
@@ -1030,47 +758,20 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
         return b.build();
     }
 
-    let mut verifier = Verifier::default();
-    *verifier.config_mut() = VerifierConfig {
-        delta: request.delta,
-        timeout: budget,
-        max_regions: request.max_regions,
-        restarts: request.restarts,
-        seed: request.seed,
-        counterexample_search: request.cex_search,
-        certificates: request.cert,
-        lipschitz_prefilter: false,
-        cancel: Some(Arc::clone(&job.cancel)),
-        faults: None,
-    };
-
     // A journal-replayed checkpoint resumes the interrupted search
     // instead of re-verifying from scratch.
-    let run = match &job.checkpoint {
-        Some(text) => Checkpoint::from_text(text)
-            .and_then(|checkpoint| verifier.resume_ws(&net, &checkpoint, ws)),
-        None => verifier.try_verify_run_ws(&net, &property, ws),
-    };
-    let run = match run {
+    let run = match prepared.run(job.checkpoint.as_deref(), ws) {
         Ok(run) => run,
-        Err(error) => {
-            counters.errored.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            let code = match &error {
-                VerifyError::MalformedModel { .. } => "model_error",
-                _ => "engine_error",
-            };
-            return error_response(Some(job.id), code, &error.to_string());
+        Err(response) => {
+            inc(&counters.errored);
+            inc(&counters.completed);
+            return response;
         }
     };
 
     let elapsed = start.elapsed();
-    shared.metrics.lock().unwrap().merge(&run.stats.metrics);
-    shared
-        .job_hist
-        .lock()
-        .unwrap()
-        .observe(elapsed.as_secs_f64());
+    pool.metrics.lock().unwrap().merge(&run.stats.metrics);
+    pool.job_hist.lock().unwrap().observe(elapsed.as_secs_f64());
 
     // Certificates are delivery provenance: cached alongside the
     // verdict (so the next certifying submitter is served from memory)
@@ -1090,37 +791,28 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
         }
         b
     };
+    let cache = |verdict: &str, cex: Option<&charon::Counterexample>| {
+        pool.cache.lock().unwrap().insert(
+            key,
+            CachedResult {
+                verdict: verdict.to_string(),
+                objective: cex.map(|cex| cex.objective),
+                counterexample: cex.map(|cex| cex.point.clone()),
+                computed_by: job.id,
+                regions: run.stats.regions,
+                compute_seconds: elapsed.as_secs_f64(),
+                cert: cert_text.clone(),
+            },
+        );
+        inc(&counters.completed);
+    };
     match &run.verdict {
         Verdict::Verified => {
-            shared.cache.lock().unwrap().insert(
-                key,
-                CachedResult {
-                    verdict: "verified".to_string(),
-                    objective: None,
-                    counterexample: None,
-                    computed_by: job.id,
-                    regions: run.stats.regions,
-                    compute_seconds: elapsed.as_secs_f64(),
-                    cert: cert_text.clone(),
-                },
-            );
-            counters.completed.fetch_add(1, Ordering::Relaxed);
+            cache("verified", None);
             base("verified").build()
         }
         Verdict::Refuted(cex) => {
-            shared.cache.lock().unwrap().insert(
-                key,
-                CachedResult {
-                    verdict: "refuted".to_string(),
-                    objective: Some(cex.objective),
-                    counterexample: Some(cex.point.clone()),
-                    computed_by: job.id,
-                    regions: run.stats.regions,
-                    compute_seconds: elapsed.as_secs_f64(),
-                    cert: cert_text.clone(),
-                },
-            );
-            counters.completed.fetch_add(1, Ordering::Relaxed);
+            cache("refuted", Some(cex));
             base("refuted")
                 .num("objective", cex.objective)
                 .arr("counterexample", &cex.point)
@@ -1128,14 +820,14 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
         }
         Verdict::ResourceLimit => {
             let drain_cancelled = matches!(run.limit, Some(BudgetKind::Cancelled))
-                && shared.draining.load(Ordering::SeqCst);
+                && front.draining.load(Ordering::SeqCst);
             if drain_cancelled {
                 if let Some(checkpoint) = &run.checkpoint {
-                    counters.checkpointed.fetch_add(1, Ordering::Relaxed);
+                    inc(&counters.checkpointed);
                     // The checkpoint record lands before the completed
                     // record, so a crash in between replays the job from
                     // the checkpoint instead of from scratch.
-                    shared.journal_transition(&Record::Checkpointed {
+                    front.journal_transition(&Record::Checkpointed {
                         id: job.id,
                         regions_done: checkpoint.regions_done,
                         checkpoint: checkpoint.to_text(),
@@ -1147,7 +839,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
                     );
                 }
             }
-            counters.completed.fetch_add(1, Ordering::Relaxed);
+            inc(&counters.completed);
             let mut b = base("resource_limit");
             if let Some(kind) = run.limit {
                 b = b.str("limit", &kind.to_string());
@@ -1165,29 +857,23 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
 /// dispatch), owns retry (an orphaned shard is re-dispatched), and a
 /// shard's sub-region is too specific for the verdict cache to earn its
 /// keep. The node is a stateless executor.
-fn execute_shard(shared: &Arc<Shared>, shard: &protocol::ShardRequest, ws: &mut Workspace) -> String {
+fn execute_shard(pool: &LocalPool, shard: &ShardRequest, ws: &mut Workspace) -> String {
     let start = Instant::now();
-    shared
-        .counters
-        .shards_executed
-        .fetch_add(1, Ordering::Relaxed);
+    inc(&pool.counters.shards_executed);
     // Chaos hook: a stalled node holds the shard (and its connection)
     // without answering, exactly like a wedged NIC or a GC'd VM — the
     // coordinator's read deadline and circuit breaker must cover it.
-    if let Some(plan) = &shared.faults {
+    if let Some(plan) = &pool.front.faults {
         plan.maybe_stall_shard();
     }
     // The dispatch carries the remaining client deadline; what is left
     // after the reply margin bounds this shard's verification budget.
     let mut budget = Duration::from_millis(shard.timeout_ms);
     if let Some(deadline_ms) = shard.deadline_ms {
-        match charon::deadline::clamp_budget(budget, deadline_ms, shared.reply_margin) {
+        match charon::deadline::clamp_budget(budget, deadline_ms, pool.reply_margin) {
             Some(clamped) => budget = clamped,
             None => {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
+                inc(&pool.front.counters.deadline_expired);
                 return error_response(
                     Some(shard.id),
                     "deadline_expired",
@@ -1196,47 +882,20 @@ fn execute_shard(shared: &Arc<Shared>, shard: &protocol::ShardRequest, ws: &mut 
             }
         }
     }
-    let (_, net) = match shared.registry.load(&shard.network) {
-        Ok(found) => found,
-        Err(message) => return error_response(Some(shard.id), "model_error", &message),
-    };
-    let property = match RobustnessProperty::from_text(&shard.property) {
-        Ok(property) => property,
-        Err(message) => {
-            return error_response(Some(shard.id), "bad_request", &format!("property: {message}"))
-        }
-    };
-    let mut verifier = Verifier::default();
-    *verifier.config_mut() = VerifierConfig {
-        delta: shard.delta,
-        timeout: budget,
-        max_regions: shard.max_regions,
-        restarts: shard.restarts,
-        seed: shard.seed,
-        counterexample_search: shard.cex_search,
-        certificates: shard.cert,
-        lipschitz_prefilter: false,
-        cancel: None,
-        faults: None,
-    };
-    let run = match verifier.try_verify_run_ws(&net, &property, ws) {
+    let run = match pool
+        .prepare(shard, budget, None)
+        .and_then(|prepared| prepared.run(None, ws))
+    {
         Ok(run) => run,
-        Err(error) => {
-            let code = match &error {
-                VerifyError::MalformedModel { .. } => "model_error",
-                _ => "engine_error",
-            };
-            return error_response(Some(shard.id), code, &error.to_string());
-        }
+        Err(response) => return response,
     };
-    shared.metrics.lock().unwrap().merge(&run.stats.metrics);
-    let seconds = start.elapsed().as_secs_f64();
-    let mut result = protocol::ShardResult {
+    pool.metrics.lock().unwrap().merge(&run.stats.metrics);
+    let mut result = ShardResult {
         id: shard.id,
         shard: shard.shard,
         verdict: String::new(),
         regions: run.stats.regions,
-        seconds,
+        seconds: start.elapsed().as_secs_f64(),
         objective: None,
         counterexample: None,
         limit: None,
@@ -1246,163 +905,17 @@ fn execute_shard(shared: &Arc<Shared>, shard: &protocol::ShardRequest, ws: &mut 
     match &run.verdict {
         Verdict::Verified => result.verdict = "verified".to_string(),
         Verdict::Refuted(cex) => {
-            shared
-                .counters
-                .shards_refuted
-                .fetch_add(1, Ordering::Relaxed);
+            inc(&pool.counters.shards_refuted);
             result.verdict = "refuted".to_string();
             result.objective = Some(cex.objective);
             result.counterexample = Some(cex.point.clone());
         }
         Verdict::ResourceLimit => {
-            shared
-                .counters
-                .shards_limited
-                .fetch_add(1, Ordering::Relaxed);
+            inc(&pool.counters.shards_limited);
             result.verdict = "resource_limit".to_string();
             result.limit = run.limit.map(|kind| kind.to_string());
             result.checkpoint = run.checkpoint.as_ref().map(Checkpoint::to_text);
         }
     }
     result.to_line()
-}
-
-/// Stops admission, reports queued jobs as unstarted, checkpoints
-/// in-flight jobs via cooperative cancellation, and waits for the
-/// accounting to balance. Returns the drain summary response; the
-/// caller shuts the listener down after delivering it.
-fn drain(shared: &Arc<Shared>) -> String {
-    shared.draining.store(true, Ordering::SeqCst);
-
-    // Every still-queued job goes back to its submitter, unstarted.
-    for job in shared.queue.close_and_drain() {
-        shared.counters.unstarted.fetch_add(1, Ordering::Relaxed);
-        shared.deliver(job.id, &job.reply, &unstarted_response(job.id));
-    }
-
-    // Cancel in-flight jobs until every admitted job is terminal. The
-    // cancel flags are re-signalled each round because a worker may pop
-    // a job and only register it in `inflight` moments later.
-    loop {
-        for (_, cancel) in shared.inflight.lock().unwrap().iter() {
-            cancel.store(true, Ordering::SeqCst);
-        }
-        let outstanding = shared.outstanding.lock().unwrap();
-        if *outstanding <= 0 {
-            break;
-        }
-        let (guard, _) = shared
-            .idle
-            .wait_timeout(outstanding, Duration::from_millis(10))
-            .unwrap();
-        if *guard <= 0 {
-            break;
-        }
-    }
-
-    let counters = &shared.counters;
-    let accepted = counters.accepted.load(Ordering::Relaxed);
-    let completed = counters.completed.load(Ordering::Relaxed);
-    let checkpointed = counters.checkpointed.load(Ordering::Relaxed);
-    let unstarted = counters.unstarted.load(Ordering::Relaxed);
-    let lost = accepted as i64 - (completed + checkpointed + unstarted) as i64;
-    ObjectBuilder::new()
-        .str("response", "drained")
-        .int("accepted", accepted)
-        .int("completed", completed)
-        .int("checkpointed", checkpointed)
-        .int("unstarted", unstarted)
-        .int("replayed", counters.replayed.load(Ordering::Relaxed))
-        .int("requeued", counters.requeued.load(Ordering::Relaxed))
-        .int("quarantined", counters.quarantined.load(Ordering::Relaxed))
-        .num("lost", lost as f64)
-        .build()
-}
-
-/// Builds the `stats` response: queue/cache/registry state plus the
-/// per-phase engine metrics and latency histograms merged across all
-/// workers.
-fn stats_response(shared: &Arc<Shared>) -> String {
-    let metrics = shared.metrics.lock().unwrap().clone();
-    let job_hist = shared.job_hist.lock().unwrap().clone();
-    let counters = &shared.counters;
-    let (cache_entries, cache_hits, cache_misses, cache_evictions, cache_hit_rate) = {
-        let cache = shared.cache.lock().unwrap();
-        (
-            cache.len(),
-            cache.hits(),
-            cache.misses(),
-            cache.evictions(),
-            cache.hit_rate(),
-        )
-    };
-    let (journal_enabled, journal_appends) = match &shared.journal {
-        Some(journal) => (1, journal.lock().unwrap().appends()),
-        None => (0, 0),
-    };
-    let to_f64 = |counts: &[u64]| -> Vec<f64> { counts.iter().map(|&c| c as f64).collect() };
-    // The overload block renders through the shared telemetry type so
-    // this tier and the coordinator expose identical key names; a
-    // single-node daemon has no breakers, so those read zero.
-    let overload_stats = charon::telemetry::OverloadStats {
-        shed: counters.shed.load(Ordering::Relaxed),
-        deadline_expired: counters.deadline_expired.load(Ordering::Relaxed),
-        breaker_open: 0,
-        breaker_opens: 0,
-    };
-    let b = ObjectBuilder::new()
-        .str("response", "stats")
-        .int("protocol", PROTOCOL_VERSION)
-        .int("workers", shared.workers as u64)
-        .int("queue_depth", shared.queue.len() as u64)
-        .int("queue_capacity", shared.queue.capacity() as u64)
-        .int("draining", u64::from(shared.draining.load(Ordering::SeqCst)))
-        .int("accepted", counters.accepted.load(Ordering::Relaxed))
-        .int("completed", counters.completed.load(Ordering::Relaxed))
-        .int("checkpointed", counters.checkpointed.load(Ordering::Relaxed))
-        .int("unstarted", counters.unstarted.load(Ordering::Relaxed))
-        .int("rejected_full", counters.rejected_full.load(Ordering::Relaxed))
-        .int(
-            "rejected_draining",
-            counters.rejected_draining.load(Ordering::Relaxed),
-        )
-        .int("errored", counters.errored.load(Ordering::Relaxed));
-    overload_stats
-        .fields(b)
-        .int("replayed", counters.replayed.load(Ordering::Relaxed))
-        .int("requeued", counters.requeued.load(Ordering::Relaxed))
-        .int("quarantined", counters.quarantined.load(Ordering::Relaxed))
-        .int("worker_deaths", counters.worker_deaths.load(Ordering::Relaxed))
-        .int("duplicates", counters.duplicates.load(Ordering::Relaxed))
-        .int(
-            "journal_errors",
-            counters.journal_errors.load(Ordering::Relaxed),
-        )
-        .int("journal_enabled", journal_enabled)
-        .int("journal_appends", journal_appends)
-        .int(
-            "results_entries",
-            shared.results.lock().unwrap().len() as u64,
-        )
-        .int("cache_entries", cache_entries as u64)
-        .int("cache_hits", cache_hits)
-        .int("cache_misses", cache_misses)
-        .int("cache_evictions", cache_evictions)
-        .num("cache_hit_rate", cache_hit_rate)
-        .int("registry_models", shared.registry.len() as u64)
-        .int("registry_hits", shared.registry.hits())
-        .int("registry_misses", shared.registry.misses())
-        .int("attack_calls", metrics.attack_calls)
-        .num("attack_seconds", metrics.attack_seconds)
-        .int("propagation_calls", metrics.propagation_calls)
-        .num("propagation_seconds", metrics.propagation_seconds)
-        .int("policy_calls", metrics.policy_calls)
-        .num("policy_seconds", metrics.policy_seconds)
-        .arr("job_latency_hist", &to_f64(job_hist.counts()))
-        .arr("attack_latency_hist", &to_f64(metrics.attack_hist.counts()))
-        .arr(
-            "propagation_latency_hist",
-            &to_f64(metrics.propagation_hist.counts()),
-        )
-        .build()
 }

@@ -136,6 +136,29 @@ impl VerifyRequest {
             u8::from(self.cex_search)
         )
     }
+
+    /// The self-contained verification of one region of this job: shard
+    /// `index`, whose `property` is the job's own or a sub-region of it.
+    /// The seed is perturbed per shard so shards do not run identical
+    /// attack schedules on adjacent regions (shard 0 keeps the job's
+    /// seed). The deadline is left unset: a dispatcher stamps what
+    /// remains of it.
+    pub(crate) fn shard(&self, index: usize, property: String) -> ShardRequest {
+        ShardRequest {
+            id: self.id,
+            shard: index,
+            network: self.network.clone(),
+            property,
+            timeout_ms: self.timeout_ms,
+            deadline_ms: None,
+            delta: self.delta,
+            max_regions: self.max_regions,
+            restarts: self.restarts,
+            seed: self.seed.wrapping_add((index as u64).wrapping_mul(0x9e37_79b9)),
+            cex_search: self.cex_search,
+            cert: self.cert,
+        }
+    }
 }
 
 impl Request {
@@ -371,7 +394,11 @@ impl ShardResult {
     ///
     /// Returns a message describing the malformed field.
     pub fn parse(line: &str) -> Result<ShardResult, String> {
-        let fields = parse_flat_object(line)?;
+        ShardResult::from_fields(&parse_flat_object(line)?)
+    }
+
+    /// Re-types an already parsed `shard_result` response.
+    pub(crate) fn from_fields(fields: &Fields) -> Result<ShardResult, String> {
         if fields.str_field("response")? != "shard_result" {
             return Err("not a shard_result response".to_string());
         }

@@ -7,7 +7,8 @@
 //! would; injected node deaths re-dispatch orphaned shards without
 //! losing the job; injected result drops make duplicate deliveries,
 //! which the merge absorbs; a shard that kills two node connections
-//! poisons its job; and drain reports zero lost jobs.
+//! poisons its job; a restarted coordinator replays its journal; and
+//! drain reports zero lost jobs.
 //!
 //! The property half drives [`server::MergeState`] through arbitrary
 //! interleavings of shard results — duplicates from re-dispatch and
@@ -20,6 +21,7 @@ use std::sync::Arc;
 
 use domains::Bounds;
 use proptest::prelude::*;
+use server::journal::{Journal, Record};
 use server::{
     Client, Coordinator, CoordinatorConfig, CoordinatorHandle, MergeState, RetryPolicy, Server,
     ServerAddr, ServerConfig, ServerFaultPlanBuilder, ServerHandle, ShardResult, VerifyRequest,
@@ -245,6 +247,86 @@ fn duplicate_ack_submission_is_deduplicated_by_the_coordinator() {
     assert_eq!(stats.usize_field("accepted").unwrap(), 1, "{stats:?}");
     assert!(stats.usize_field("duplicates").unwrap() >= 1, "{stats:?}");
     cluster.shutdown();
+}
+
+#[test]
+fn a_restarted_coordinator_replays_its_journal() {
+    let dir = unique_dir("replay");
+    let wal = dir.join("coord.wal");
+    let _ = std::fs::remove_file(&wal);
+    let node = start_node(&dir, "node0.sock");
+    // What a plain daemon concludes for job 1.
+    let job1 = xor_request(&dir, 1, 1, false);
+    let plain = server::submit_reliable(node.addr(), &job1, &RetryPolicy::default()).unwrap();
+
+    // The previous coordinator life, as its journal: job 1 was accepted
+    // (and acknowledged) but never answered; job 3 completed.
+    let stored = "{\"response\": \"verdict\", \"id\": 3, \"verdict\": \"refuted\", \
+                  \"cached\": 0, \"shards\": 2, \"regions\": 4, \"elapsed_ms\": 1.5, \
+                  \"objective\": -0.25, \"counterexample\": [0.5, 0.5]}";
+    {
+        let (mut journal, _) = Journal::open(&wal, None).unwrap();
+        journal
+            .append(&Record::Accepted {
+                id: 1,
+                request: job1,
+            })
+            .unwrap();
+        journal
+            .append(&Record::Accepted {
+                id: 3,
+                request: xor_request(&dir, 3, 0, true),
+            })
+            .unwrap();
+        journal
+            .append(&Record::Completed {
+                id: 3,
+                response: stored.to_string(),
+            })
+            .unwrap();
+    }
+
+    let coordinator = Coordinator::start(CoordinatorConfig {
+        addr: ServerAddr::Unix(dir.join("coord.sock")),
+        nodes: vec![node.addr().clone()],
+        journal: Some(wal),
+        ..CoordinatorConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(coordinator.addr()).unwrap();
+    let query = |client: &mut Client, id: u64| {
+        client.request(&VerifyRequest::query_line(id)).unwrap()
+    };
+    let three = query(&mut client, 3);
+    assert_eq!(three.str_field("verdict").unwrap(), "refuted", "{three:?}");
+    assert_eq!(three.f64_field("objective").unwrap(), -0.25, "{three:?}");
+
+    // Job 1 is re-sharded and run to the plain daemon's verdict.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let one = loop {
+        let reply = query(&mut client, 1);
+        match reply.str_field("response").unwrap().as_str() {
+            "pending" | "unknown" => {
+                assert!(std::time::Instant::now() < deadline, "job 1 never ran: {reply:?}");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            _ => break reply,
+        }
+    };
+    assert_eq!(
+        one.str_field("verdict").unwrap(),
+        plain.str_field("verdict").unwrap(),
+        "{one:?} vs {plain:?}"
+    );
+
+    let summary = client.request("{\"request\": \"drain\"}").unwrap();
+    assert_eq!(summary.usize_field("replayed").unwrap(), 1, "{summary:?}");
+    assert_eq!(summary.f64_field("lost").unwrap(), 0.0, "{summary:?}");
+    coordinator.join();
+    let mut control = Client::connect(node.addr()).unwrap();
+    let _ = control.request("{\"request\": \"drain\"}").unwrap();
+    node.join();
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---------------------------------------------------------------------

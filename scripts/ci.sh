@@ -3,9 +3,11 @@
 # crate's own suites (unit tests, the chaos fault-injection suite, the
 # counting-allocator suite, doctests) under the dedicated `ci` profile,
 # the kernel, network and attack crates' suites (unit tests, the kernel
-# equivalence suites, the fused-attack bit-identity suite), and the
-# end-to-end benchmark's own arithmetic tests. The root `cargo test`
-# covers only the root package, not these.
+# equivalence suites, the fused-attack bit-identity suite), the service
+# suites (crash, cluster, service, overload, protocol-doc, queue,
+# wire-key and coordinator-memory suites) with the certificate tamper
+# suite, and the end-to-end benchmark's own arithmetic tests. The root
+# `cargo test` covers only the root package, not these.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +16,7 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q -p charon --profile ci
 cargo test -q -p tensor -p nn -p attack
+cargo test -q -p server -p cert
 cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
 # Portable-fallback gate: the same suites with scalar kernels and the
