@@ -4,7 +4,9 @@
 //! robustness objective `F(x) = N(x)_K - max_{j != K} N(x)_j` (Eq. 2) over
 //! an input region using projected gradient descent ([`pgd`]) with random
 //! restarts ([`Minimizer`]), plus the fast gradient sign method
-//! ([`fgsm_step`]) as a cheap alternative direction.
+//! ([`fgsm_step`]) as a cheap alternative direction. The minimizer runs
+//! all its descents — center, FGSM corner, restarts — as one lockstep
+//! batch ([`pgd_batch`]).
 //!
 //! A point with `F(x) <= 0` is a true adversarial counterexample; points
 //! with `F(x) <= δ` are the δ-counterexamples of Definition 5.3.
@@ -21,9 +23,9 @@
 //!   in the `charon` crate docs.
 //! * [`Minimizer::minimize_traced`] is the observability twin of
 //!   `minimize`: identical search, plus one [`PhaseStat`] per phase
-//!   (center probe, FGSM, coordinate descent, PGD restarts) with
-//!   evaluation counts, best objective, and wall time. The untraced path
-//!   reads no clocks.
+//!   (the lockstep PGD batch, then coordinate descent) with evaluation
+//!   counts, best objective, and wall time. The untraced path reads no
+//!   clocks.
 //!
 //! # Examples
 //!
@@ -401,7 +403,9 @@ pub fn pgd_batch(
 }
 
 /// One fast-gradient-sign step from `start`: moves to the corner of the
-/// region indicated by the sign of the objective gradient.
+/// region indicated by the sign of the objective gradient. Coordinates
+/// whose gradient entry is zero (`+0.0` or `-0.0`) give no direction and
+/// stay at their start value.
 ///
 /// # Panics
 ///
@@ -417,7 +421,7 @@ pub fn fgsm_step(net: &Network, region: &Bounds, target: usize, start: &[f64]) -
         .iter()
         .zip(g.iter())
         .zip(region.widths().iter())
-        .map(|((xi, gi), w)| xi - w * gi.signum())
+        .map(|((xi, gi), w)| if *gi == 0.0 { *xi } else { xi - w * gi.signum() })
         .collect();
     region.clamp(&mut x);
     x
@@ -427,7 +431,7 @@ pub fn fgsm_step(net: &Network, region: &Bounds, target: usize, start: &[f64]) -
 /// [`Minimizer::minimize_traced`].
 #[derive(Debug, Clone)]
 pub struct PhaseStat {
-    /// Phase name: `center`, `fgsm`, `coordinate`, or `restarts`.
+    /// Phase name: `pgd` (the lockstep batch) or `coordinate`.
     pub phase: &'static str,
     /// Gradient/objective evaluations this phase contributed.
     pub evals: usize,
@@ -450,8 +454,10 @@ pub struct MinimizeTrace {
 /// Multi-restart minimizer for the robustness objective (the `Minimize`
 /// call at line 2 of Algorithm 1).
 ///
-/// Runs PGD from the region center and from a number of random starting
-/// points (plus one FGSM-seeded run), keeping the best result.
+/// Runs PGD from the region center, from the FGSM corner of the center
+/// and from a number of random starting points as one lockstep batch,
+/// then coordinate descent from the center if no descent refuted,
+/// keeping the best result.
 #[derive(Debug, Clone)]
 pub struct Minimizer {
     /// PGD configuration shared by all restarts.
@@ -549,20 +555,9 @@ impl Minimizer {
             }
         };
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let center = region.center();
-        let mut best = pgd(net, region, target, &center, &self.config);
-        record(&mut trace, &mut phase_start, "center", best.evals, best.objective);
-        if best.objective <= 0.0 {
-            return best;
-        }
-
-        // FGSM-seeded run: jump to the steepest corner, then refine.
-        let corner = fgsm_step(net, region, target, &center);
-        let run = pgd(net, region, target, &corner, &self.config);
-        let before = best.evals;
-        best = merge(best, run);
-        record(&mut trace, &mut phase_start, "fgsm", best.evals - before, best.objective);
+        let starts = self.starts(net, region, target);
+        let mut best = pgd_batch(net, region, target, &starts, &self.config);
+        record(&mut trace, &mut phase_start, "pgd", best.evals, best.objective);
         if best.objective <= 0.0 {
             return best;
         }
@@ -570,27 +565,27 @@ impl Minimizer {
         // One coordinate-descent pass: box-shaped regions (like the
         // brightening attacks of §7.1) often hide their minima in
         // corners that gradient steps orbit around.
-        let run = coordinate_descent(net, region, target, &center, 2);
+        let center = starts.row(0);
+        let run = coordinate_descent(net, region, target, center, 2);
         let before = best.evals;
         best = merge(best, run);
         record(&mut trace, &mut phase_start, "coordinate", best.evals - before, best.objective);
-        if best.objective <= 0.0 {
-            return best;
-        }
-
-        // Random restarts run as one lockstep batch: a single blocked
-        // forward/backward per descent iteration covers every restart.
-        if self.restarts > 0 {
-            let mut starts = Matrix::zeros(0, region.dim());
-            for _ in 0..self.restarts {
-                starts.push_row(&region.sample(&mut rng));
-            }
-            let run = pgd_batch(net, region, target, &starts, &self.config);
-            let before = best.evals;
-            best = merge(best, run);
-            record(&mut trace, &mut phase_start, "restarts", best.evals - before, best.objective);
-        }
         best
+    }
+
+    /// The lockstep batch's start rows: the region center, its FGSM
+    /// corner, then the seeded random restarts. [`pgd_batch`] keeps the
+    /// earliest row on ties, so this order is also the preference order.
+    fn starts(&self, net: &Network, region: &Bounds, target: usize) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let center = region.center();
+        let mut starts = Matrix::zeros(0, region.dim());
+        starts.push_row(&center);
+        starts.push_row(&fgsm_step(net, region, target, &center));
+        for _ in 0..self.restarts {
+            starts.push_row(&region.sample(&mut rng));
+        }
+        starts
     }
 }
 
@@ -672,6 +667,32 @@ mod tests {
     }
 
     #[test]
+    fn fgsm_keeps_zero_gradient_coordinates_at_start() {
+        // x1 feeds only a hidden unit that is dead on the whole region,
+        // so the objective's gradient along x1 is exactly zero there.
+        let net = Network::new(
+            2,
+            vec![
+                nn::Layer::Affine(nn::AffineLayer::new(
+                    tensor::Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]),
+                    vec![0.0, -5.0],
+                )),
+                nn::Layer::Relu,
+                nn::Layer::Affine(nn::AffineLayer::new(
+                    tensor::Matrix::from_rows(&[&[1.0, 1.0], &[-1.0, 1.0]]),
+                    vec![0.0, 0.0],
+                )),
+            ],
+        )
+        .unwrap();
+        let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let center = region.center();
+        assert_eq!(net.objective_gradient(&center, 0), vec![2.0, 0.0]);
+        let x = fgsm_step(&net, &region, 0, &center);
+        assert_eq!(x, vec![0.0, 0.5], "only the live coordinate moves");
+    }
+
+    #[test]
     fn momentum_pgd_finds_xor_violation() {
         let net = samples::xor_network();
         let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
@@ -731,6 +752,64 @@ mod tests {
         let b = Minimizer::new(9).minimize(&net, &region, 1);
         assert_eq!(a.point, b.point);
         assert_eq!(a.objective, b.objective);
+    }
+
+    #[test]
+    fn starts_are_center_then_fgsm_corner_then_seeded_restarts() {
+        let net = nn::train::random_mlp(4, &[10], 3, 17);
+        let region = Bounds::linf_ball(&[0.2, -0.1, 0.0, 0.5], 0.3, None);
+        let (seed, restarts, target) = (21, 3, 0);
+        let starts = Minimizer::new(seed)
+            .with_restarts(restarts)
+            .starts(&net, &region, target);
+        assert_eq!(starts.rows(), restarts + 2);
+
+        let center = region.center();
+        let fgsm = fgsm_step(&net, &region, target, &center);
+        assert_ne!(fgsm, center, "the FGSM step must move on this net");
+        assert_eq!(starts.row(0), center.as_slice());
+        assert_eq!(starts.row(1), fgsm.as_slice());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for r in 2..starts.rows() {
+            assert_eq!(starts.row(r), region.sample(&mut rng).as_slice(), "restart row {r}");
+        }
+    }
+
+    #[test]
+    fn pgd_batch_tie_goes_to_earliest_row() {
+        // The only hidden unit is dead on the whole region, so every
+        // point has the objective 1 and a zero gradient: all rows retire
+        // at their starts with equal objectives.
+        let net = Network::new(
+            2,
+            vec![
+                nn::Layer::Affine(nn::AffineLayer::new(
+                    tensor::Matrix::from_rows(&[&[1.0, 1.0]]),
+                    vec![-5.0],
+                )),
+                nn::Layer::Relu,
+                nn::Layer::Affine(nn::AffineLayer::new(
+                    tensor::Matrix::from_rows(&[&[1.0], &[0.0]]),
+                    vec![1.0, 0.0],
+                )),
+            ],
+        )
+        .unwrap();
+        let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let rows: [&[f64]; 3] = [&[0.9, 0.1], &[0.1, 0.9], &[0.5, 0.5]];
+        for first in 0..rows.len() {
+            let mut order = rows;
+            order.rotate_left(first);
+            let result = pgd_batch(
+                &net,
+                &region,
+                0,
+                &tensor::Matrix::from_rows(&order),
+                &PgdConfig::default(),
+            );
+            assert_eq!(result.objective, 1.0);
+            assert_eq!(result.point, order[0], "rotation {first}");
+        }
     }
 
     fn poisoned_network() -> Network {

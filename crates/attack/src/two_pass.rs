@@ -8,16 +8,22 @@
 //! scores the new iterate. Both compute every forward with the same
 //! code, so their points, objectives and evaluation counts agree bit for
 //! bit.
+//!
+//! The fused batch takes the next step's gradients from the pass that
+//! scored the current step, over the rows live before that step; the
+//! two-pass batch recomputes them over the rows still live after it.
+//! When a row retires in between, the other rows shift position, so the
+//! two agree only because every kernel arm computes a batch row the same
+//! way wherever it sits (see `tensor::kernels`). The suite compares every
+//! case on whichever arm is active, the forced scalar arm included.
 
 use domains::Bounds;
 use nn::Network;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tensor::Matrix;
 
 use super::{
-    coordinate_descent, fgsm_step, gradient_is_finite, merge, sanitize_objective, AttackResult,
-    Minimizer, PgdConfig,
+    coordinate_descent, gradient_is_finite, merge, sanitize_objective, AttackResult, Minimizer,
+    PgdConfig,
 };
 
 /// The objective gradient as a separate call: one forward pass to pick
@@ -222,55 +228,25 @@ fn pgd_batch(
     }
 }
 
-/// [`Minimizer::minimize`] with every descent phase on the two-pass
-/// routines.
+/// [`Minimizer::minimize`] with the lockstep batch on the two-pass
+/// routine: the same start rows (center, FGSM corner, restarts) through
+/// [`pgd_batch`], then coordinate descent from the center unless a row
+/// refuted.
 fn minimize(m: &Minimizer, net: &Network, region: &Bounds, target: usize) -> AttackResult {
-    let mut rng = StdRng::seed_from_u64(m.seed);
-    let center = region.center();
-    let mut best = pgd(net, region, target, &center, &m.config);
+    let starts = m.starts(net, region, target);
+    let best = pgd_batch(net, region, target, &starts, &m.config);
     if best.objective <= 0.0 {
         return best;
     }
-    let corner = fgsm_step(net, region, target, &center);
-    best = merge(best, pgd(net, region, target, &corner, &m.config));
-    if best.objective <= 0.0 {
-        return best;
-    }
-    best = merge(best, coordinate_descent(net, region, target, &center, 2));
-    if best.objective <= 0.0 {
-        return best;
-    }
-    if m.restarts > 0 {
-        let mut starts = Matrix::zeros(0, region.dim());
-        for _ in 0..m.restarts {
-            starts.push_row(&region.sample(&mut rng));
-        }
-        best = merge(best, pgd_batch(net, region, target, &starts, &m.config));
-    }
-    best
-}
-
-/// Whether the active batched affine kernel computes a row of a
-/// `rows`-row batch the same way wherever the row sits. The fused batch
-/// takes the next step's gradients from the pass that scored the current
-/// step, over the rows live before that step; the two-pass oracle
-/// recomputes them over the rows still live after it. When a row retires
-/// in between, the other rows shift, and the two agree bitwise only if
-/// the kernel treats every row alike. The AVX2 arm does (its 2×4 tile and
-/// its remainder row share one association); the scalar arm does below
-/// its 4×4 tile, the NEON arm below its 2×2 tile.
-fn rows_position_independent(rows: usize) -> bool {
-    match tensor::kernels::active().name() {
-        "avx2" => true,
-        "scalar" => rows < 4,
-        _ => rows < 2,
-    }
+    merge(best, coordinate_descent(net, region, target, starts.row(0), 2))
 }
 
 mod tests {
     use super::*;
     use nn::conv::{max_pool_groups, Conv2d, Shape3};
     use nn::{AffineLayer, Layer};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_bitwise(fused: &AttackResult, two_pass: &AttackResult, what: &str) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -430,9 +406,8 @@ mod tests {
 
     #[test]
     fn pgd_batch_matches_two_pass_bitwise() {
-        let mut compared = 0;
         for (name, net, region, target) in cases().into_iter().chain(retiring_cases()) {
-            for rows in [1, 2, 3, 5] {
+            for rows in [1, 2, 3, 5, 6] {
                 let mut rng = StdRng::seed_from_u64(rows as u64);
                 let mut starts = Matrix::zeros(0, region.dim());
                 for _ in 0..rows {
@@ -444,27 +419,17 @@ mod tests {
                     region.contains(&fused.point),
                     "{name}: point leaves the region"
                 );
-                if rows_position_independent(rows) {
-                    let two_pass = pgd_batch(&net, &region, target, &starts, &config);
-                    assert_bitwise(&fused, &two_pass, &format!("{name} x{rows}"));
-                    compared += 1;
-                }
+                let two_pass = pgd_batch(&net, &region, target, &starts, &config);
+                assert_bitwise(&fused, &two_pass, &format!("{name} x{rows}"));
             }
         }
-        assert!(
-            compared >= cases().len(),
-            "every case compares at least one batch"
-        );
     }
 
     #[test]
     fn minimize_matches_two_pass_bitwise() {
-        for (name, net, region, target) in cases() {
-            for (seed, restarts) in [(1u64, 1), (5, 2), (9, 3)] {
+        for (name, net, region, target) in cases().into_iter().chain(retiring_cases()) {
+            for (seed, restarts) in [(1u64, 0), (5, 2), (9, 3), (13, 4)] {
                 let m = Minimizer::new(seed).with_restarts(restarts);
-                if !rows_position_independent(restarts) {
-                    continue;
-                }
                 let fused = m.minimize(&net, &region, target);
                 assert_bitwise(&fused, &minimize(&m, &net, &region, target), &name);
                 let (traced, _) = m.minimize_traced(&net, &region, target);
@@ -475,16 +440,20 @@ mod tests {
 
     #[test]
     fn cases_reach_every_phase() {
-        // The suite is only as strong as its cases: some must refute,
-        // some must run every phase to the restarts.
+        // The suite is only as strong as its cases: some must refute in
+        // the lockstep batch, some must go on to coordinate descent.
         let m = Minimizer::new(1).with_restarts(2);
         let (mut refuted, mut full) = (0, 0);
         for (_, net, region, target) in cases() {
             let (result, trace) = m.minimize_traced(&net, &region, target);
-            refuted += usize::from(result.objective <= 0.0);
-            full += usize::from(trace.phases.len() == 4);
+            let phases: Vec<&str> = trace.phases.iter().map(|p| p.phase).collect();
+            match phases.as_slice() {
+                ["pgd"] => refuted += usize::from(result.objective <= 0.0),
+                ["pgd", "coordinate"] => full += 1,
+                other => panic!("unexpected phases {other:?}"),
+            }
         }
-        assert!(refuted > 0, "no case refutes");
-        assert!(full > 0, "no case reaches the restarts phase");
+        assert!(refuted > 0, "no case refutes in the lockstep batch");
+        assert!(full > 0, "no case reaches coordinate descent");
     }
 }

@@ -289,62 +289,6 @@ fn bench_region_throughput(width: usize, depth: usize, reps: usize) -> Sample {
     }
 }
 
-/// Two-pass projected gradient descent: each step takes the gradient at
-/// the iterate and then scores the stepped point with a separate forward
-/// pass. Same iterates as [`attack::pgd`], which gets both from one pass.
-fn two_pass_pgd(
-    net: &nn::Network,
-    region: &Bounds,
-    target: usize,
-    start: &[f64],
-    config: &attack::PgdConfig,
-) -> attack::AttackResult {
-    let objective = |x: &[f64]| {
-        let f = net.objective(x, target);
-        if f.is_nan() {
-            f64::INFINITY
-        } else {
-            f
-        }
-    };
-    let mut x = start.to_vec();
-    let mut best = x.clone();
-    let mut best_f = objective(&x);
-    let mut evals = 1;
-    let mut step = config.step_fraction * region.mean_width().max(1e-12);
-    for _ in 0..config.steps {
-        if best_f <= 0.0 {
-            break;
-        }
-        let g = net.objective_gradient(&x, target);
-        evals += 1;
-        let norm = tensor::ops::norm2(&g);
-        if !g.iter().all(|v| v.is_finite()) || norm < 1e-12 {
-            break;
-        }
-        for (xi, gi) in x.iter_mut().zip(&g) {
-            *xi -= step * gi / norm;
-        }
-        region.clamp(&mut x);
-        let f = objective(&x);
-        evals += 1;
-        if f < best_f {
-            best_f = f;
-            best = x.clone();
-        } else {
-            step *= config.decay;
-            if step < 1e-12 {
-                break;
-            }
-        }
-    }
-    attack::AttackResult {
-        point: best,
-        objective: best_f,
-        evals,
-    }
-}
-
 /// Two-pass [`attack::pgd_batch`]: the batched gradient of the live rows,
 /// then the batched objective at their stepped points.
 fn two_pass_pgd_batch(
@@ -423,9 +367,9 @@ fn two_pass_pgd_batch(
     }
 }
 
-/// [`attack::Minimizer::minimize`] with every descent phase on the
-/// two-pass routines (the phase order and restart sampling are the
-/// minimizer's).
+/// [`attack::Minimizer::minimize`] with its lockstep batch on the
+/// two-pass routine: the center, its FGSM corner and the seeded restarts
+/// as one batch, then coordinate descent unless a row refuted.
 fn two_pass_minimize(
     seed: u64,
     restarts: usize,
@@ -435,43 +379,28 @@ fn two_pass_minimize(
 ) -> attack::AttackResult {
     use rand::SeedableRng;
     let config = attack::PgdConfig::default();
-    let merge = |a: attack::AttackResult, b: attack::AttackResult| {
-        let evals = a.evals + b.evals;
-        let mut best = if b.objective < a.objective { b } else { a };
-        best.evals = evals;
-        best
-    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let center = region.center();
-    let mut best = two_pass_pgd(net, region, target, &center, &config);
-    if best.objective <= 0.0 {
-        return best;
-    }
-    let corner = attack::fgsm_step(net, region, target, &center);
-    best = merge(best, two_pass_pgd(net, region, target, &corner, &config));
-    if best.objective <= 0.0 {
-        return best;
-    }
-    best = merge(
-        best,
-        attack::coordinate_descent(net, region, target, &center, 2),
-    );
-    if best.objective <= 0.0 || restarts == 0 {
-        return best;
-    }
     let mut starts = Matrix::zeros(0, region.dim());
+    starts.push_row(&center);
+    starts.push_row(&attack::fgsm_step(net, region, target, &center));
     for _ in 0..restarts {
         starts.push_row(&region.sample(&mut rng));
     }
-    merge(
-        best,
-        two_pass_pgd_batch(net, region, target, &starts, &config),
-    )
+    let best = two_pass_pgd_batch(net, region, target, &starts, &config);
+    if best.objective <= 0.0 {
+        return best;
+    }
+    let run = attack::coordinate_descent(net, region, target, &center, 2);
+    let evals = best.evals + run.evals;
+    let mut best = if run.objective < best.objective { run } else { best };
+    best.evals = evals;
+    best
 }
 
 /// The whole `Minimize` call of Algorithm 1 on an MNIST-sized network:
-/// the two-pass attack (naive) vs the fused one (fast), which must find
-/// the same point with the same evaluation count.
+/// the two-pass lockstep attack (naive) vs the fused one (fast), which
+/// must find the same point with the same evaluation count.
 fn bench_pgd_attack(reps: usize) -> Sample {
     use rand::{Rng, SeedableRng};
     let net = nn::train::random_mlp(784, &[64; 9], 10, 7);
@@ -506,9 +435,83 @@ fn bench_pgd_attack(reps: usize) -> Sample {
         naive_s,
         fast_s,
         note: format!(
-            "two-pass vs fused Minimizer, 784 -> 9x64 -> 10 MLP, brightening tau {tau}, \
+            "two-pass vs fused lockstep Minimizer, 784 -> 9x64 -> 10 MLP, brightening tau {tau}, \
              {restarts} restarts, {} evals, F {:.3}",
             fused.evals, fused.objective
+        ),
+    }
+}
+
+/// `Powerset<Zonotope>` ReLU (budget 2, the default policy's pick) on
+/// every ReLU layer of a 784 -> 9x64 -> 10 MLP over a brightening box:
+/// the per-coordinate reference (naive) against the row-major
+/// transformer (fast). Both full propagations must give the same margin
+/// bits.
+fn bench_powerset_relu(reps: usize) -> Sample {
+    use domains::Powerset;
+    use rand::{Rng, SeedableRng};
+    let net = nn::train::random_mlp(784, &[64; 9], 10, 7);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let image: Vec<f64> = (0..784).map(|_| rng.gen_range(0.0..1.0)).collect();
+    let tau = 0.9;
+    let upper = image
+        .iter()
+        .map(|&v| if v >= tau { 1.0 } else { v })
+        .collect();
+    let region = Bounds::new(image, upper);
+    let target = net.classify(&region.center());
+    let budget = 2;
+
+    // The inputs of every ReLU layer, and both full propagations.
+    let mut fast = Powerset::<Zonotope>::with_budget(&region, budget);
+    let mut naive = fast.clone();
+    let mut relu_inputs = Vec::new();
+    for layer in net.layers() {
+        match layer {
+            nn::Layer::Affine(a) => {
+                fast = fast.affine(a);
+                naive = naive.affine(a);
+            }
+            nn::Layer::Relu => {
+                relu_inputs.push(fast.clone());
+                fast = fast.relu();
+                naive = naive.relu_per_coord();
+            }
+            nn::Layer::MaxPool(p) => {
+                fast = fast.max_pool(p);
+                naive = naive.max_pool(p);
+            }
+        }
+    }
+    let fast_margin = fast.margin_lower_bound(target);
+    let naive_margin = naive.margin_lower_bound(target);
+    assert_eq!(
+        fast_margin.to_bits(),
+        naive_margin.to_bits(),
+        "row-major powerset ReLU diverged from the per-coordinate path"
+    );
+
+    let naive_s = time_median(reps, || {
+        relu_inputs
+            .iter()
+            .map(|e| e.relu_per_coord().disjuncts().len() as f64)
+            .sum()
+    });
+    let fast_s = time_median(reps, || {
+        relu_inputs
+            .iter()
+            .map(|e| e.relu().disjuncts().len() as f64)
+            .sum()
+    });
+    Sample {
+        name: "powerset_relu",
+        naive_s,
+        fast_s,
+        note: format!(
+            "per-coordinate vs row-major Powerset<Zonotope> ReLU, budget {budget}, \
+             {} ReLU layers of a 784 -> 9x64 -> 10 MLP, brightening tau {tau}, margin {:.3}",
+            relu_inputs.len(),
+            fast_margin
         ),
     }
 }
@@ -561,6 +564,7 @@ fn validate_json(json: &str) {
         "\"name\": \"simd_affine\"",
         "\"name\": \"scheduler_throughput\"",
         "\"name\": \"pgd_attack\"",
+        "\"name\": \"powerset_relu\"",
         "\"speedup\":",
         "\"phases\":",
     ] {
@@ -591,6 +595,7 @@ fn main() {
         bench_region_throughput(if smoke { 24 } else { 96 }, 4, reps),
         bench_scheduler_throughput(reps),
         bench_pgd_attack(reps),
+        bench_powerset_relu(reps),
     ];
 
     println!("kernel perf ({}):", if smoke { "smoke" } else { "full" });

@@ -86,12 +86,12 @@ pub enum TraceEvent {
         /// selection has no per-layer instrumentation).
         layer_seconds: Vec<f64>,
     },
-    /// One attack phase (center PGD, FGSM-seeded PGD, coordinate descent,
-    /// or the batched random-restart PGD) finished.
+    /// One attack phase (the lockstep PGD batch over center, FGSM corner
+    /// and random restarts, or coordinate descent) finished.
     Attack {
         /// Ordinal of the region attacked.
         ordinal: usize,
-        /// Phase name: `center`, `fgsm`, `coordinate`, or `restarts`.
+        /// Phase name: `pgd` or `coordinate`.
         phase: String,
         /// Gradient/objective evaluations spent in this phase.
         evals: usize,

@@ -649,6 +649,29 @@ pub trait ReluCoordOps: AbstractElement {
     /// coordinate `i` with pre-activation bounds `(lo, hi)`.
     fn relax_relu_coord(&mut self, i: usize, lo: f64, hi: f64);
 
+    /// Bounds of every coordinate: entry `i` equals
+    /// [`ReluCoordOps::coord_bounds`]`(i)` bit for bit. Domains whose
+    /// coordinate bounds share work (a zonotope's column sums) override
+    /// this with one pass over their representation.
+    fn all_coord_bounds(&self) -> Vec<(f64, f64)> {
+        (0..self.dim()).map(|i| self.coord_bounds(i)).collect()
+    }
+
+    /// Projects every coordinate of `zero` to zero and relaxes every
+    /// `(i, lo, hi)` of `relax`: the same result, bit for bit, as calling
+    /// [`ReluCoordOps::project_zero`] on each of `zero` and then
+    /// [`ReluCoordOps::relax_relu_coord`] on each of `relax` in order.
+    /// The coordinates must be distinct. Domains override this to apply
+    /// all decisions in one pass.
+    fn relu_coords(&mut self, zero: &[usize], relax: &[(usize, f64, f64)]) {
+        for &i in zero {
+            self.project_zero(i);
+        }
+        for &(i, lo, hi) in relax {
+            self.relax_relu_coord(i, lo, hi);
+        }
+    }
+
     /// Restricts the element to `x_i >= 0`, returning `None` if the result
     /// is empty. The result must over-approximate `γ(self) ∩ {x_i >= 0}`.
     fn meet_coord_nonneg(&self, i: usize) -> Option<Self>;

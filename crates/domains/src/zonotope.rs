@@ -48,12 +48,13 @@ impl Zonotope {
     }
 
     /// Total absolute generator weight of coordinate `i` (its deviation
-    /// radius).
+    /// radius): the same fold, in the same row order, as [`Self::radii`].
     fn radius(&self, i: usize) -> f64 {
-        self.gens.rows_iter().map(|g| g[i].abs()).sum()
+        self.gens.rows_iter().fold(0.0, |acc, g| acc + g[i].abs())
     }
 
-    /// Deviation radii of all coordinates in one row-major pass.
+    /// Deviation radii of all coordinates in one row-major pass; entry
+    /// `i` equals `radius(i)` bit for bit.
     fn radii(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.dim()];
         for g in self.gens.rows_iter() {
@@ -233,21 +234,21 @@ impl AbstractElement for Zonotope {
     }
 
     fn relu(&self) -> Self {
-        let mut out = self.clone();
-        // One row-major pass caches every coordinate radius up front. The
-        // per-coordinate updates below only touch column `i` (and append
-        // rows that are zero outside column `i`), so cached radii of
-        // later coordinates stay valid.
-        let radii = out.radii();
-        let mut scratch = vec![0.0; out.dim()];
-        for (i, r) in radii.into_iter().enumerate() {
-            let (lo, hi) = (out.center[i] - r, out.center[i] + r);
+        // One row-major pass for every coordinate's bounds, one for the
+        // decisions: each decision touches only its own column (and
+        // appends rows that are zero outside it), so all of them can be
+        // taken from the bounds before any is applied.
+        let mut zero = Vec::new();
+        let mut relax = Vec::new();
+        for (i, (lo, hi)) in self.all_coord_bounds().into_iter().enumerate() {
             if hi <= 0.0 {
-                out.project_zero(i);
+                zero.push(i);
             } else if lo < 0.0 {
-                out.relax_relu_coord_with(i, lo, hi, &mut scratch);
+                relax.push((i, lo, hi));
             }
         }
+        let mut out = self.clone();
+        out.relu_coords(&zero, &relax);
         out.prune_zero_generators();
         out
     }
@@ -345,8 +346,60 @@ impl ReluCoordOps for Zonotope {
     }
 
     fn relax_relu_coord(&mut self, i: usize, lo: f64, hi: f64) {
-        let mut scratch = vec![0.0; self.dim()];
-        self.relax_relu_coord_with(i, lo, hi, &mut scratch);
+        self.relu_coords(&[], &[(i, lo, hi)]);
+    }
+
+    fn all_coord_bounds(&self) -> Vec<(f64, f64)> {
+        self.center
+            .iter()
+            .zip(self.radii())
+            .map(|(c, r)| (c - r, c + r))
+            .collect()
+    }
+
+    /// One pass over the generator rows applies every decision; the
+    /// relaxation generators are appended afterwards in `relax` order.
+    fn relu_coords(&mut self, zero: &[usize], relax: &[(usize, f64, f64)]) {
+        if zero.is_empty() && relax.is_empty() {
+            return;
+        }
+        // relu(x) is bounded between λx and λx - λ·lo for x ∈ [lo, hi],
+        // with λ = hi / (hi - lo). Center the band and absorb its half
+        // width μ into a fresh noise symbol.
+        let bands: Vec<(usize, f64, f64)> = relax
+            .iter()
+            .map(|&(i, lo, hi)| {
+                debug_assert!(
+                    lo < 0.0 && hi > 0.0,
+                    "relaxation needs an unstable coordinate"
+                );
+                let lambda = hi / (hi - lo);
+                (i, lambda, -0.5 * lambda * lo)
+            })
+            .collect();
+        for &i in zero {
+            self.center[i] = 0.0;
+        }
+        for &(i, lambda, mu) in &bands {
+            self.center[i] = lambda * self.center[i] + mu;
+        }
+        for g in self.gens.rows_iter_mut() {
+            for &i in zero {
+                g[i] = 0.0;
+            }
+            for &(i, lambda, _) in &bands {
+                g[i] *= lambda;
+            }
+        }
+        if !bands.is_empty() {
+            let (rows, dim) = (self.gens.rows(), self.dim());
+            let mut data = std::mem::replace(&mut self.gens, Matrix::zeros(0, dim)).into_vec();
+            data.resize((rows + bands.len()) * dim, 0.0);
+            for (k, &(i, _, mu)) in bands.iter().enumerate() {
+                data[(rows + k) * dim + i] = mu;
+            }
+            self.gens = Matrix::from_vec(rows + bands.len(), dim, data);
+        }
     }
 
     fn meet_coord_nonneg(&self, i: usize) -> Option<Self> {
@@ -359,26 +412,6 @@ impl ReluCoordOps for Zonotope {
 }
 
 impl Zonotope {
-    /// [`ReluCoordOps::relax_relu_coord`] with a caller-provided all-zero
-    /// staging row, so batched ReLU passes avoid one allocation per
-    /// unstable neuron.
-    fn relax_relu_coord_with(&mut self, i: usize, lo: f64, hi: f64, scratch: &mut [f64]) {
-        debug_assert!(
-            lo < 0.0 && hi > 0.0,
-            "relaxation needs an unstable coordinate"
-        );
-        // relu(x) is bounded between λx and λx - λ·lo for x ∈ [lo, hi],
-        // with λ = hi / (hi - lo). Center the band and absorb its half
-        // width into a fresh noise symbol.
-        let lambda = hi / (hi - lo);
-        let mu = -0.5 * lambda * lo;
-        self.center[i] = lambda * self.center[i] + mu;
-        for g in self.gens.rows_iter_mut() {
-            g[i] *= lambda;
-        }
-        self.push_box_generator(scratch, i, mu);
-    }
-
     /// Sound join of two zonotopes with the *same* noise-symbol count:
     /// averages centers and generators and absorbs the per-coordinate
     /// residuals into fresh box generators.
@@ -601,6 +634,44 @@ impl Zonotope {
             *gv *= rad;
         }
         Some(out)
+    }
+}
+
+impl Zonotope {
+    /// The per-coordinate ReLU, the oracle the row-major
+    /// [`AbstractElement::relu`] is held to bit for bit: each coordinate's
+    /// bounds by a walk down its generator column, each decision applied
+    /// on its own (a column projection, or a column rescale plus one
+    /// appended box generator). Not for use outside bitwise checks.
+    #[doc(hidden)]
+    pub fn relu_per_coord(&self) -> Self {
+        let mut out = self.clone();
+        let mut scratch = vec![0.0; out.dim()];
+        for i in 0..out.dim() {
+            let (lo, hi) = out.coord_bounds(i);
+            if hi <= 0.0 {
+                out.project_zero(i);
+            } else if lo < 0.0 {
+                let lambda = hi / (hi - lo);
+                let mu = -0.5 * lambda * lo;
+                out.center[i] = lambda * out.center[i] + mu;
+                for g in out.gens.rows_iter_mut() {
+                    g[i] *= lambda;
+                }
+                out.push_box_generator(&mut scratch, i, mu);
+            }
+        }
+        out.prune_zero_generators();
+        out
+    }
+}
+
+#[cfg(test)]
+impl Zonotope {
+    /// Center and generator bits, for bitwise comparisons.
+    pub(crate) fn to_bits(&self) -> (Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(&self.center), bits(self.gens.as_slice()))
     }
 }
 

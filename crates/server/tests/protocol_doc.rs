@@ -5,6 +5,7 @@
 //! suite.)
 
 use server::protocol::{Request, ShardResult, REQUEST_KINDS, RESPONSE_KINDS};
+use server::PROTOCOL_VERSION;
 
 fn spec_text() -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -71,6 +72,31 @@ fn every_spec_example_parses_through_the_protocol_code() {
     }
     assert!(requests >= 8, "every request kind should have an example");
     assert!(responses >= 12, "every response kind should have an example");
+}
+
+#[test]
+fn every_spec_protocol_field_is_the_current_version() {
+    let spec = spec_text();
+    let mut versioned = Vec::new();
+    for line in example_lines(&spec) {
+        let fields = charon::json::parse_flat_object(&line)
+            .unwrap_or_else(|e| panic!("example is not codec-valid JSON: {line}\n  {e}"));
+        if fields.opt("protocol").is_some() {
+            let version = fields
+                .usize_field("protocol")
+                .unwrap_or_else(|e| panic!("protocol field is not an integer: {line}\n  {e}"));
+            assert_eq!(
+                version as u64, PROTOCOL_VERSION,
+                "example shows protocol {version}, the code speaks {PROTOCOL_VERSION}: {line}"
+            );
+            versioned.push(line);
+        }
+    }
+    // The stats example is where the version once went stale.
+    assert!(
+        versioned.iter().any(|l| l.contains("\"response\": \"stats\"")),
+        "the stats example carries no protocol field"
+    );
 }
 
 #[test]

@@ -9,6 +9,11 @@
 //! `hadd`/`permute2f128`/`blend` transpose, producing four finished dot
 //! products in a single vector store.
 //!
+//! `gemm` and `matvec_transpose` share one loop that keeps a block of
+//! output columns in registers across the whole inner dimension; it
+//! reproduces the row-at-a-time loop's operations exactly, so
+//! `matvec_transpose` stays bit-identical to the scalar arm.
+//!
 //! Every function in this module is compiled with
 //! `#[target_feature(enable = "avx2,fma")]` and reached only through the
 //! safe dispatch wrappers in the [`BACKEND`] table; the wrappers are what
@@ -26,6 +31,7 @@ pub(super) static BACKEND: Backend = Backend {
     gemm,
     matvec,
     matvec_bias,
+    matvec_transpose,
 };
 
 fn matmul_transb(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [f64]) {
@@ -46,6 +52,11 @@ fn matvec(w: &[f64], x: &[f64], out: &mut [f64]) {
 fn matvec_bias(w: &[f64], x: &[f64], bias: &[f64], out: &mut [f64]) {
     // Safety: the avx2 table is only selected after feature detection.
     unsafe { matvec_bias_impl(w, x, bias, out) }
+}
+
+fn matvec_transpose(w: &[f64], x: &[f64], out: &mut [f64]) {
+    // Safety: the avx2 table is only selected after feature detection.
+    unsafe { scaled_row_sums::<false>(x, w, out) }
 }
 
 /// `out = A · Bᵀ` with the 2×4 micro-kernel and two levels of cache
@@ -110,35 +121,88 @@ unsafe fn matmul_transb_impl(a: &[f64], b: &[f64], m: usize, n: usize, k: usize,
     }
 }
 
-/// `out = A · B`: each nonzero `a[i][kk]` is broadcast and FMA'd along
-/// the contiguous rows of `b` and `out`, four lanes at a time.
+/// `out = A · B`: each output row is the sum of the rows of `b` scaled
+/// by the nonzero entries of the matching row of `a`, FMA'd in ascending
+/// `kk` (see [`scaled_row_sums`]).
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_impl(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, out: &mut [f64]) {
-    out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
+        out.fill(0.0);
         return;
     }
-    let n4 = n & !3;
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let va = _mm256_set1_pd(aik);
-            let brow = &b[kk * n..(kk + 1) * n];
-            let mut j = 0;
-            while j < n4 {
-                let vo = _mm256_loadu_pd(orow.as_ptr().add(j));
-                let vb = _mm256_loadu_pd(brow.as_ptr().add(j));
-                _mm256_storeu_pd(orow.as_mut_ptr().add(j), _mm256_fmadd_pd(va, vb, vo));
-                j += 4;
-            }
-            while j < n {
-                orow[j] += aik * brow[j];
-                j += 1;
+        scaled_row_sums::<true>(arow, b, orow);
+    }
+}
+
+/// `out = Σ_t s[t] · M[t]` over the rows of the `s.len()×out.len()`
+/// row-major `m`, skipping zero `s[t]`: the shared loop of `gemm` (one
+/// output row, `FUSED` = fused multiply-add) and `matvec_transpose`
+/// (`FUSED = false`: a multiply then an add, the scalar arm's exact
+/// operations).
+///
+/// Each block of 32 output columns (then of 4) stays in registers while
+/// `t` runs over every row of `m`, so `out` is written once instead of
+/// once per nonzero `s[t]`. Every output element still sees the same
+/// operations in the same ascending-`t` order as a row-at-a-time loop,
+/// and the tail columns use the scalar multiply-add, so the result is
+/// bit-identical to that loop.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn scaled_row_sums<const FUSED: bool>(s: &[f64], m: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    debug_assert_eq!(m.len(), s.len() * n);
+    let mut j = 0;
+    while j + 32 <= n {
+        let acc = scaled_block::<8, FUSED>(s, m, n, j);
+        for (v, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.as_mut_ptr().add(j + 4 * v), *a);
+        }
+        j += 32;
+    }
+    while j + 4 <= n {
+        let [acc] = scaled_block::<1, FUSED>(s, m, n, j);
+        _mm256_storeu_pd(out.as_mut_ptr().add(j), acc);
+        j += 4;
+    }
+    while j < n {
+        let mut v = 0.0;
+        for (t, &st) in s.iter().enumerate() {
+            if st != 0.0 {
+                v += st * m[t * n + j];
             }
         }
+        out[j] = v;
+        j += 1;
     }
+}
+
+/// `V` four-lane accumulators of columns `j..j + 4V` of
+/// `Σ_t s[t] · M[t]` (see [`scaled_row_sums`]).
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn scaled_block<const V: usize, const FUSED: bool>(
+    s: &[f64],
+    m: &[f64],
+    n: usize,
+    j: usize,
+) -> [__m256d; V] {
+    let mut acc = [_mm256_setzero_pd(); V];
+    for (t, &st) in s.iter().enumerate() {
+        if st == 0.0 {
+            continue;
+        }
+        let vs = _mm256_set1_pd(st);
+        let row = m.as_ptr().add(t * n + j);
+        for (v, a) in acc.iter_mut().enumerate() {
+            let vm = _mm256_loadu_pd(row.add(4 * v));
+            *a = if FUSED {
+                _mm256_fmadd_pd(vs, vm, *a)
+            } else {
+                _mm256_add_pd(*a, _mm256_mul_pd(vs, vm))
+            };
+        }
+    }
+    acc
 }
 
 /// `out = W x`: row quads share every `x` load; columns are blocked so
@@ -376,4 +440,79 @@ unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
         o += 1;
     }
     sum
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The AVX2 `gemm` before register blocking: each nonzero `a[i][kk]`
+    /// broadcast and FMA'd into the output row in memory, one `kk` at a
+    /// time. The blocked kernel must reproduce it bit for bit.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_per_k(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        let n4 = n & !3;
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (kk, &aik) in arow.iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_pd(aik);
+                let brow = &b[kk * n..(kk + 1) * n];
+                let mut j = 0;
+                while j < n4 {
+                    let vo = _mm256_loadu_pd(orow.as_ptr().add(j));
+                    let vb = _mm256_loadu_pd(brow.as_ptr().add(j));
+                    _mm256_storeu_pd(orow.as_mut_ptr().add(j), _mm256_fmadd_pd(va, vb, vo));
+                    j += 4;
+                }
+                while j < n {
+                    orow[j] += aik * brow[j];
+                    j += 1;
+                }
+            }
+        }
+    }
+
+    fn has_avx2() -> bool {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+
+    /// Values with mixed signs and magnitudes, exact zeros, `-0.0` and
+    /// subnormals, so the zero skip and signed-zero sums are exercised.
+    fn awkward(len: usize, seed: u64) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let t = (i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                match t % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::MIN_POSITIVE / 8.0 * ((t >> 8) % 5) as f64,
+                    _ => ((t >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 8.0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn blocked_gemm_matches_per_k_loop_bitwise() {
+        if !has_avx2() {
+            return;
+        }
+        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (5, 64, 784), (6, 33, 37), (4, 10, 64), (2, 9, 35)] {
+            let a = awkward(m * k, (m * 31 + k) as u64);
+            let b = awkward(k * n, (n * 17 + k) as u64);
+            let mut want = vec![f64::NAN; m * n];
+            let mut got = vec![f64::NAN; m * n];
+            // Safety: feature presence checked above.
+            unsafe { gemm_per_k(&a, &b, m, k, n, &mut want) };
+            gemm(&a, &b, m, k, n, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "gemm {m}x{k}x{n}");
+        }
+    }
 }

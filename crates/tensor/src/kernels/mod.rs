@@ -2,7 +2,8 @@
 //!
 //! The hot kernels of the verifier — `matmul_transb` (zonotope generator
 //! propagation), `gemm` (batched PGD), `matvec`/`matvec_bias` (zonotope
-//! centers, policy features) — exist in up to three arms:
+//! centers, policy features), `matvec_transpose` (per-point gradients) —
+//! exist in up to three arms:
 //!
 //! * **scalar** — the register-tiled portable kernels (4×4 tile, eight-way
 //!   unrolled dots). Always available; the reference every other arm is
@@ -24,7 +25,16 @@
 //! All arms compute the same contraction with different association
 //! orders, so results agree to a few ULP of the accumulated magnitude but
 //! are not bit-identical; `tests/simd_equivalence.rs` pins every arm
-//! against the scalar reference within a 4-ULP accumulation bound.
+//! against the scalar reference within a 4-ULP accumulation bound. The
+//! one exception is `matvec_transpose` (the per-point backward pass):
+//! every arm runs the scalar loop's exact operation sequence per output
+//! element, so it is bit-identical across arms.
+//!
+//! Within one arm, a row of the batched kernels (`matmul_transb`'s left
+//! operand, `gemm`'s left operand) is computed the same way wherever it
+//! sits in the batch: micro-kernel tiles and remainder rows share one
+//! association. The lockstep attack relies on this: it compacts retired
+//! rows out of its batch, and the surviving rows' bits must not move.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -44,6 +54,8 @@ type GemmFn = fn(&[f64], &[f64], usize, usize, usize, &mut [f64]);
 type MatvecFn = fn(&[f64], &[f64], &mut [f64]);
 /// `out = W x + bias`: `w` is `out.len()×x.len()` row-major.
 type MatvecBiasFn = fn(&[f64], &[f64], &[f64], &mut [f64]);
+/// `out = Wᵀ x`: `w` is `x.len()×out.len()` row-major.
+type MatvecTransposeFn = fn(&[f64], &[f64], &mut [f64]);
 
 /// A dispatch table of kernel implementations for one instruction-set
 /// arm.
@@ -57,6 +69,7 @@ pub struct Backend {
     gemm: GemmFn,
     matvec: MatvecFn,
     matvec_bias: MatvecBiasFn,
+    matvec_transpose: MatvecTransposeFn,
 }
 
 impl Backend {
@@ -111,6 +124,22 @@ impl Backend {
         assert_eq!(w.len(), out.len() * x.len(), "matvec_bias: weight buffer length");
         assert_eq!(bias.len(), out.len(), "matvec_bias: bias length");
         (self.matvec_bias)(w, x, bias, out);
+    }
+
+    /// `out = Wᵀ x` (`w`: `x.len()×out.len()` row-major), the per-point
+    /// backward pass through an affine layer.
+    ///
+    /// Unlike the other kernels this one is bit-identical across arms:
+    /// every arm adds the products `x[i]·W[i][j]` into `out[j]` in
+    /// ascending `i`, as a multiply then an add (no fused multiply-add),
+    /// skipping zero `x[i]`. The SIMD arms only widen the `j` loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != out.len() * x.len()`.
+    pub fn matvec_transpose(&self, w: &[f64], x: &[f64], out: &mut [f64]) {
+        assert_eq!(w.len(), out.len() * x.len(), "matvec_transpose: weight buffer length");
+        (self.matvec_transpose)(w, x, out);
     }
 
     /// Fused zonotope affine transformer: pushes a center and a flat

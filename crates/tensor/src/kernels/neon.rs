@@ -8,7 +8,8 @@
 //!
 //! The shapes mirror the AVX2 arm at half the width: a 2×2 register
 //! micro-kernel for `matmul_transb`, broadcast-FMA rows for `gemm`, and
-//! row-paired dots for the matvec kernels.
+//! row-paired dots for the matvec kernels. `matvec_transpose` is the
+//! scalar arm's loop, which has no reduction and so vectorizes as is.
 
 use core::arch::aarch64::*;
 
@@ -20,6 +21,7 @@ pub(super) static BACKEND: Backend = Backend {
     gemm,
     matvec,
     matvec_bias,
+    matvec_transpose: super::scalar::matvec_transpose,
 };
 
 /// `out = A · Bᵀ` with a 2×2 micro-kernel (four accumulator vectors,
@@ -54,9 +56,19 @@ fn matmul_transb(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [
             }
             i += 2;
         }
+        // The remainder row pairs its columns through `dot2`, which
+        // accumulates exactly as a row of `tile2x2` does, so a row's bits
+        // do not depend on where it sits in the batch.
         if i < m {
             let a0 = arow(i);
-            for j in 0..n {
+            let mut j = 0;
+            while j + 2 <= n {
+                let d = dot2(a0, brow(j), brow(j + 1));
+                out[i * n + j] += d[0];
+                out[i * n + j + 1] += d[1];
+                j += 2;
+            }
+            if j < n {
                 out[i * n + j] += dot(a0, brow(j));
             }
         }

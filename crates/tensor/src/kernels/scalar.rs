@@ -16,6 +16,7 @@ pub(super) static BACKEND: Backend = Backend {
     gemm,
     matvec,
     matvec_bias,
+    matvec_transpose,
 };
 
 /// `out = A · Bᵀ`, register-tiled: 4 rows of `a` meet 4 rows of `b` in a
@@ -36,33 +37,14 @@ fn matmul_transb(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [
         let brow = |r: usize| &b[r * k + k0..r * k + k0 + kb];
         let mut i = 0;
         while i + 4 <= m {
-            let (a0, a1, a2, a3) = (arow(i), arow(i + 1), arow(i + 2), arow(i + 3));
-            let mut j = 0;
-            while j + 4 <= n {
-                let tile = tile4x4(
-                    [a0, a1, a2, a3],
-                    [brow(j), brow(j + 1), brow(j + 2), brow(j + 3)],
-                );
-                for (r, row) in tile.iter().enumerate() {
-                    for (c, v) in row.iter().enumerate() {
-                        out[(i + r) * n + j + c] += v;
-                    }
-                }
-                j += 4;
-            }
-            while j < n {
-                let dots = dot4_unrolled(a0, a1, a2, a3, brow(j));
-                for (r, d) in dots.into_iter().enumerate() {
-                    out[(i + r) * n + j] += d;
-                }
-                j += 1;
-            }
+            let rows = [arow(i), arow(i + 1), arow(i + 2), arow(i + 3)];
+            tile_rows(rows, &brow, n, &mut out[i * n..]);
             i += 4;
         }
+        // Remainder rows run the same tile code one row at a time, so a
+        // row's bits do not depend on where it sits in the batch.
         while i < m {
-            for j in 0..n {
-                out[i * n + j] += dot_unrolled(arow(i), brow(j));
-            }
+            tile_rows([arow(i)], &brow, n, &mut out[i * n..]);
             i += 1;
         }
         k0 += kb;
@@ -90,8 +72,8 @@ fn gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, out: &mut [f64]) {
     }
 }
 
-/// `out = W x`: row quads share every `x` load through
-/// [`dot4_unrolled`]; remainder rows use the eight-way unrolled dot.
+/// `out = W x`: row quads share every `x` load through [`dot_rx1`];
+/// remainder rows use the eight-way unrolled dot.
 fn matvec(w: &[f64], x: &[f64], out: &mut [f64]) {
     let k = x.len();
     if k == 0 {
@@ -102,7 +84,7 @@ fn matvec(w: &[f64], x: &[f64], out: &mut [f64]) {
     let row = |r: usize| &w[r * k..(r + 1) * k];
     let mut r = 0;
     while r + 4 <= rows {
-        let dots = dot4_unrolled(row(r), row(r + 1), row(r + 2), row(r + 3), x);
+        let dots = dot_rx1([row(r), row(r + 1), row(r + 2), row(r + 3)], x);
         out[r..r + 4].copy_from_slice(&dots);
         r += 4;
     }
@@ -124,7 +106,7 @@ fn matvec_bias(w: &[f64], x: &[f64], bias: &[f64], out: &mut [f64]) {
     let row = |r: usize| &w[r * k..(r + 1) * k];
     let mut r = 0;
     while r + 4 <= rows {
-        let dots = dot4_unrolled(row(r), row(r + 1), row(r + 2), row(r + 3), x);
+        let dots = dot_rx1([row(r), row(r + 1), row(r + 2), row(r + 3)], x);
         for (c, d) in dots.into_iter().enumerate() {
             out[r + c] = d + bias[r + c];
         }
@@ -136,21 +118,73 @@ fn matvec_bias(w: &[f64], x: &[f64], bias: &[f64], out: &mut [f64]) {
     }
 }
 
-/// 4×4 register-tile micro-kernel: sixteen dot products between four
-/// left rows and four right rows, sharing every operand load across four
-/// multiply-adds.
-///
-/// This is the classic GEMM register tile. Sixteen independent
-/// accumulator chains hide FP-add latency, and the load:FLOP ratio drops
-/// from 2:1 (plain dot) to 1:2, which is what lifts the kernel off the
-/// load-port ceiling. Same reassociation caveat as [`dot_unrolled`].
-///
-/// All eight slices must have equal length (callers slice them to the
-/// same k-tile).
+/// `out = Wᵀ x` (`w`: `x.len()×out.len()` row-major): rows in ascending
+/// order, each nonzero `x[i]` scaling row `i` into `out` with a multiply
+/// then an add. Zero entries are skipped (gradients are sparse after
+/// ReLU masking), so a zero never turns an infinite weight into NaN.
+pub(super) fn matvec_transpose(w: &[f64], x: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    for (&xi, row) in x.iter().zip(w.chunks_exact(n)) {
+        if xi == 0.0 {
+            continue;
+        }
+        for (o, a) in out.iter_mut().zip(row) {
+            *o += xi * a;
+        }
+    }
+}
+
+/// Adds `R` rows of `A · Bᵀ` for one k-tile into `out` (the `R×n`
+/// output rows, row-major): 4-column tiles through [`tile_rx4`], the
+/// column remainder through [`dot_rx1`].
 #[inline]
-fn tile4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+fn tile_rows<'b, const R: usize>(
+    a: [&[f64]; R],
+    brow: &impl Fn(usize) -> &'b [f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    let mut j = 0;
+    while j + 4 <= n {
+        let tile = tile_rx4(a, [brow(j), brow(j + 1), brow(j + 2), brow(j + 3)]);
+        for (r, row) in tile.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                out[r * n + j + c] += v;
+            }
+        }
+        j += 4;
+    }
+    while j < n {
+        for (r, d) in dot_rx1(a, brow(j)).into_iter().enumerate() {
+            out[r * n + j] += d;
+        }
+        j += 1;
+    }
+}
+
+/// `R×4` register-tile micro-kernel: the dot products between `R` left
+/// rows and four right rows, sharing every operand load across the
+/// multiply-adds of a column.
+///
+/// At `R = 4` this is the classic GEMM register tile: sixteen
+/// independent accumulator chains hide FP-add latency, and the load:FLOP
+/// ratio drops from 2:1 (plain dot) to 1:2, which is what lifts the
+/// kernel off the load-port ceiling. Every dot product accumulates in
+/// the same order whatever `R` is, so the `R = 1` remainder rows agree
+/// bitwise with the rows of a full tile. Same reassociation caveat as
+/// [`dot_unrolled`].
+///
+/// All slices must have equal length (callers slice them to the same
+/// k-tile).
+#[inline]
+fn tile_rx4<const R: usize>(a: [&[f64]; R], b: [&[f64]; 4]) -> [[f64; 4]; R] {
     let kb = b[0].len();
-    let mut acc = [[0.0f64; 4]; 4];
+    let a = a.map(|r| &r[..kb]);
+    let mut acc = [[0.0f64; 4]; R];
     let chunks = kb / 4;
     for c in 0..chunks {
         let o = c * 4;
@@ -178,47 +212,38 @@ fn tile4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
     acc
 }
 
-/// Four simultaneous dot products against a shared right-hand side.
+/// `R` simultaneous dot products against a shared right-hand side.
 ///
 /// The dominant cost of the blocked kernel is load traffic: a plain dot
-/// issues two loads per multiply-add. Amortizing each `b` load over four
-/// `a` rows drops that to 1.25 loads per multiply-add, and the sixteen
-/// independent accumulator chains keep the FP pipeline saturated. Same
-/// reassociation caveat as [`dot_unrolled`].
+/// issues two loads per multiply-add. At `R = 4`, amortizing each `b`
+/// load over four `a` rows drops that to 1.25 loads per multiply-add,
+/// and the sixteen independent accumulator chains keep the FP pipeline
+/// saturated. Each row accumulates in four lanes whatever `R` is, so
+/// results do not depend on `R`. Same reassociation caveat as
+/// [`dot_unrolled`].
 ///
-/// All five slices must have equal length (callers slice them to the
-/// same k-tile).
+/// All slices must have equal length (callers slice them to the same
+/// k-tile).
 #[inline]
-fn dot4_unrolled(a0: &[f64], a1: &[f64], a2: &[f64], a3: &[f64], b: &[f64]) -> [f64; 4] {
-    let mut acc = [[0.0f64; 4]; 4];
-    let mut c0 = a0.chunks_exact(4);
-    let mut c1 = a1.chunks_exact(4);
-    let mut c2 = a2.chunks_exact(4);
-    let mut c3 = a3.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for ((((r0, r1), r2), r3), bb) in (&mut c0).zip(&mut c1).zip(&mut c2).zip(&mut c3).zip(&mut cb)
-    {
-        let r0: &[f64; 4] = r0.try_into().expect("chunk is 4 wide");
-        let r1: &[f64; 4] = r1.try_into().expect("chunk is 4 wide");
-        let r2: &[f64; 4] = r2.try_into().expect("chunk is 4 wide");
-        let r3: &[f64; 4] = r3.try_into().expect("chunk is 4 wide");
+fn dot_rx1<const R: usize>(a: [&[f64]; R], b: &[f64]) -> [f64; R] {
+    let a = a.map(|r| &r[..b.len()]);
+    let mut acc = [[0.0f64; 4]; R];
+    let k4 = b.len() / 4 * 4;
+    for (o, bb) in b[..k4].chunks_exact(4).enumerate() {
         let bb: &[f64; 4] = bb.try_into().expect("chunk is 4 wide");
-        for i in 0..4 {
-            acc[0][i] += r0[i] * bb[i];
-            acc[1][i] += r1[i] * bb[i];
-            acc[2][i] += r2[i] * bb[i];
-            acc[3][i] += r3[i] * bb[i];
+        for (acc, row) in acc.iter_mut().zip(a.iter()) {
+            let r: &[f64; 4] = row[o * 4..o * 4 + 4].try_into().expect("chunk is 4 wide");
+            for i in 0..4 {
+                acc[i] += r[i] * bb[i];
+            }
         }
     }
-    let tail = b.len() - cb.remainder().len();
-    for o in tail..b.len() {
-        acc[0][0] += a0[o] * b[o];
-        acc[1][0] += a1[o] * b[o];
-        acc[2][0] += a2[o] * b[o];
-        acc[3][0] += a3[o] * b[o];
+    for o in k4..b.len() {
+        for (acc, row) in acc.iter_mut().zip(a.iter()) {
+            acc[0] += row[o] * b[o];
+        }
     }
-    let reduce = |s: &[f64; 4]| (s[0] + s[2]) + (s[1] + s[3]);
-    [reduce(&acc[0]), reduce(&acc[1]), reduce(&acc[2]), reduce(&acc[3])]
+    acc.map(|s| (s[0] + s[2]) + (s[1] + s[3]))
 }
 
 /// Dot product with eight independent accumulators.

@@ -200,22 +200,17 @@ impl Matrix {
 
     /// Transposed matrix-vector product `self^T * x`.
     ///
+    /// Rows are added in ascending order, skipping zero `x[i]`; the
+    /// result is bit-identical on every kernel arm (see
+    /// [`crate::kernels::Backend::matvec_transpose`]).
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.rows()`.
     pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "matvec_transpose dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            let row = self.row(i);
-            for (yj, a) in y.iter_mut().zip(row.iter()) {
-                *yj += xi * a;
-            }
-        }
+        crate::kernels::active().matvec_transpose(&self.data, x, &mut y);
         y
     }
 

@@ -222,3 +222,97 @@ fn tile_boundary_sizes_agree() {
         }
     }
 }
+
+/// Buffer with exact zeros, `-0.0` and subnormals mixed into ordinary
+/// values, for the bitwise tests.
+fn awkward(len: usize, seed: u64) -> Vec<f64> {
+    filled(len, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| match (i as u64 ^ seed) % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => v * f64::MIN_POSITIVE / 16.0,
+            _ => v,
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The scalar `matvec_transpose` loop every arm must reproduce.
+fn matvec_transpose_reference(w: &[f64], x: &[f64], n: usize) -> Vec<f64> {
+    let mut y = vec![0.0; n];
+    for (i, &xi) in x.iter().enumerate() {
+        if xi == 0.0 {
+            continue;
+        }
+        for (j, yj) in y.iter_mut().enumerate() {
+            *yj += xi * w[i * n + j];
+        }
+    }
+    y
+}
+
+/// `matvec_transpose` is bit-identical to the scalar loop on every arm,
+/// for widths on and off the 4- and 32-column block boundaries.
+#[test]
+fn matvec_transpose_is_bitwise_on_every_arm() {
+    for rows in [0usize, 1, 3, 10, 64] {
+        for n in [0usize, 1, 3, 4, 5, 31, 32, 33, 35, 64, 67, 784] {
+            let w = awkward(rows * n, (rows * 1000 + n) as u64);
+            let x = awkward(rows, n as u64 ^ 0x55);
+            let want = matvec_transpose_reference(&w, &x, n);
+            for arm in kernels::available() {
+                let mut got = vec![f64::NAN; n];
+                arm.matvec_transpose(&w, &x, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{} {rows}x{n}", arm.name());
+            }
+        }
+    }
+}
+
+/// A batch row's bits do not depend on its position in the batch or on
+/// the batch size, for the forward (`matmul_transb`) and backward
+/// (`gemm`) kernels of batched evaluation, on every arm. The lockstep
+/// attack compacts retired rows out of its batch and relies on this.
+#[test]
+fn batch_rows_are_position_independent_on_every_arm() {
+    let (k, n) = (37, 13);
+    let weights = awkward(n * k, 3);
+    let back = awkward(k * n, 4);
+    let pool = awkward(6 * k, 5);
+    let pool_g = awkward(6 * k, 6);
+    for arm in kernels::available() {
+        // Each row alone is the reference.
+        let alone = |i: usize| {
+            let mut f = vec![f64::NAN; n];
+            arm.matmul_transb(&pool[i * k..(i + 1) * k], &weights, 1, n, k, &mut f);
+            let mut g = vec![f64::NAN; n];
+            arm.gemm(&pool_g[i * k..(i + 1) * k], &back, 1, k, n, &mut g);
+            (f, g)
+        };
+        for rows in 1..=6 {
+            // Rotations put every row at every position of the batch.
+            for shift in 0..rows {
+                let order: Vec<usize> = (0..rows).map(|p| (p + shift) % rows).collect();
+                let a: Vec<f64> =
+                    order.iter().flat_map(|&i| pool[i * k..(i + 1) * k].to_vec()).collect();
+                let ag: Vec<f64> =
+                    order.iter().flat_map(|&i| pool_g[i * k..(i + 1) * k].to_vec()).collect();
+                let mut f = vec![f64::NAN; rows * n];
+                arm.matmul_transb(&a, &weights, rows, n, k, &mut f);
+                let mut g = vec![f64::NAN; rows * n];
+                arm.gemm(&ag, &back, rows, k, n, &mut g);
+                for (p, &i) in order.iter().enumerate() {
+                    let (want_f, want_g) = alone(i);
+                    let what = format!("{} rows={rows} row {i} at {p}", arm.name());
+                    assert_eq!(bits(&f[p * n..(p + 1) * n]), bits(&want_f), "forward {what}");
+                    assert_eq!(bits(&g[p * n..(p + 1) * n]), bits(&want_g), "backward {what}");
+                }
+            }
+        }
+    }
+}

@@ -2,8 +2,9 @@
 # Tier-1 CI gate: build, full test suite, lint wall, then the engine
 # crate's own suites (unit tests, the chaos fault-injection suite, the
 # counting-allocator suite, doctests) under the dedicated `ci` profile,
-# the kernel, network and attack crates' suites (unit tests, the kernel
-# equivalence suites, the fused-attack bit-identity suite), the service
+# the kernel, network, attack and domain crates' suites (unit tests, the
+# kernel equivalence and batch-row position suites, the fused-attack
+# bit-identity suite, the row-major ReLU oracle suite), the service
 # suites (crash, cluster, service, overload, protocol-doc, queue,
 # wire-key and coordinator-memory suites) with the certificate tamper
 # suite, and the end-to-end benchmark's own arithmetic tests. The root
@@ -15,7 +16,7 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q -p charon --profile ci
-cargo test -q -p tensor -p nn -p attack
+cargo test -q -p tensor -p nn -p attack -p domains
 cargo test -q -p server -p cert
 cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
@@ -23,7 +24,7 @@ cargo test -q --release --manifest-path e2ebench/Cargo.toml
 # shared-queue scheduler forced, so the non-SIMD dispatch arm and the
 # fallback scheduling discipline stay correct on every host.
 CHARON_FORCE_SCALAR=1 cargo test -q
-CHARON_FORCE_SCALAR=1 cargo test -q -p tensor -p nn -p attack
+CHARON_FORCE_SCALAR=1 cargo test -q -p tensor -p nn -p attack -p domains
 
 # Documentation gate: doctests must pass and rustdoc must build clean
 # (broken intra-doc links and missing docs surface as warnings).
@@ -40,6 +41,7 @@ grep -q '"name": "zonotope_affine"' "$smoke_out"
 grep -q '"name": "simd_affine"' "$smoke_out"
 grep -q '"name": "scheduler_throughput"' "$smoke_out"
 grep -q '"name": "pgd_attack"' "$smoke_out"
+grep -q '"name": "powerset_relu"' "$smoke_out"
 grep -q '"phases":' "$smoke_out"
 rm -f "$smoke_out"
 
